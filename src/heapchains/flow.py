@@ -6,15 +6,17 @@ joins x-minus to y-plus whenever x strictly precedes y.  A maximum matching
 that respects these capacities leaves exactly ``n - |matching|`` elements
 parentless, and those are the chain roots of an optimal partition.
 
-The matching is computed as max flow on the network
-``source -(k)-> minus -(1)-> plus -(1)-> sink`` using shortest augmenting
-paths in phases (Dinic); integral capacities keep the flow integral, and
-fixed ascending-id edge order keeps the result deterministic.
+The matching is a max flow on the network
+``source -(k)-> minus -(1)-> plus -(1)-> sink``, found by augmenting paths
+on the successor bitmasks: a greedy start, then one breadth-first search per
+augmentation from every minus node with spare capacity, each step taking a
+row's unseen plus nodes in one mask operation.  A search that reaches no
+free plus node proves the matching maximum (max-flow/min-cut).  Ascending
+ids everywhere keep the result deterministic.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from .poset import HeapForest, Poset, _check_arity
@@ -64,76 +66,68 @@ def build_split_graph(poset: Poset, k: int) -> SplitGraph:
     return SplitGraph(poset.n, k, tuple(tuple(poset.successors(x)) for x in range(poset.n)))
 
 
-class _FlowNetwork:
-    """Dinic max flow on small integral networks."""
-
-    def __init__(self, size: int):
-        self.graph: list[list[list[int]]] = [[] for _ in range(size)]
-
-    def add_edge(self, u: int, v: int, cap: int) -> None:
-        self.graph[u].append([v, cap, len(self.graph[v])])
-        self.graph[v].append([u, 0, len(self.graph[u]) - 1])
-
-    def _levels(self, s: int, t: int) -> list[int]:
-        level = [-1] * len(self.graph)
-        level[s] = 0
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            for v, cap, _ in self.graph[u]:
-                if cap > 0 and level[v] < 0:
-                    level[v] = level[u] + 1
-                    queue.append(v)
-        return level
-
-    def _augment(self, u: int, t: int, limit: int, level: list[int], it: list[int]) -> int:
-        if u == t:
-            return limit
-        while it[u] < len(self.graph[u]):
-            edge = self.graph[u][it[u]]
-            v, cap, rev = edge
-            if cap > 0 and level[v] == level[u] + 1:
-                pushed = self._augment(v, t, min(limit, cap), level, it)
-                if pushed > 0:
-                    edge[1] -= pushed
-                    self.graph[v][rev][1] += pushed
-                    return pushed
-            it[u] += 1
-        return 0
-
-    def max_flow(self, s: int, t: int) -> int:
-        total = 0
-        while True:
-            level = self._levels(s, t)
-            if level[t] < 0:
-                return total
-            it = [0] * len(self.graph)
-            while True:
-                pushed = self._augment(s, t, 1 << 60, level, it)
-                if pushed == 0:
-                    break
-                total += pushed
-
-
 def max_left_k_matching(graph: SplitGraph) -> LeftKMatching:
-    """Maximum-cardinality matching respecting the split-graph capacities."""
+    """Maximum-cardinality matching respecting the split-graph capacities.
+
+    Greedy start, then one breadth-first alternating-path search per
+    augmentation until a search finds no free plus node.
+    """
     n, k = graph.n, graph.k
-    source, sink = 2 * n, 2 * n + 1
-    net = _FlowNetwork(2 * n + 2)
-    middle_edges = {}
+    succ = [sum(1 << y for y in row) for row in graph.adj]
+    mate = [-1] * n  # left owner of each plus node
+    load = [0] * n  # children of each left node
+    free = (1 << n) - 1  # plus nodes without a parent
     for x in range(n):
-        net.add_edge(source, x, k)
-    for x in range(n):
-        for y in graph.adj[x]:
-            middle_edges[(x, y)] = len(net.graph[x])
-            net.add_edge(x, n + y, 1)
-    for y in range(n):
-        net.add_edge(n + y, sink, 1)
-    net.max_flow(source, sink)
-    chosen = frozenset(
-        (x, y) for (x, y), idx in middle_edges.items() if net.graph[x][idx][1] == 0
-    )
-    return LeftKMatching(k, chosen)
+        avail = succ[x] & free
+        while avail and load[x] < k:
+            low = avail & -avail
+            avail ^= low
+            free ^= low
+            mate[low.bit_length() - 1] = x
+            load[x] += 1
+
+    while free:
+        # via[x] is the plus node the search reached x through (-1 for a
+        # source), found_by[y] the left node whose row discovered y.
+        via = [-2] * n
+        found_by = [-1] * n
+        queue = [x for x in range(n) if load[x] < k]
+        for x in queue:
+            via[x] = -1
+        unseen = (1 << n) - 1
+        end = -1
+        for x in queue:
+            new = succ[x] & unseen
+            if not new:
+                continue
+            hit = new & free
+            if hit:
+                end, y = x, (hit & -hit).bit_length() - 1
+                break
+            unseen ^= new
+            while new:
+                low = new & -new
+                new ^= low
+                z = low.bit_length() - 1
+                found_by[z] = x
+                owner = mate[z]
+                if via[owner] == -2:
+                    via[owner] = z
+                    queue.append(owner)
+        if end < 0:
+            break
+        # Flip the path: each left node on it trades the plus node it was
+        # reached through for the next one, and the source gains a child.
+        free ^= 1 << y
+        x = end
+        while True:
+            mate[y] = x
+            y = via[x]
+            if y < 0:
+                load[x] += 1
+                break
+            x = found_by[y]
+    return LeftKMatching(k, frozenset((mate[y], y) for y in range(n) if mate[y] >= 0))
 
 
 def matching_to_partition(poset: Poset, matching: LeftKMatching) -> HeapForest:

@@ -80,7 +80,12 @@ class Poset:
     def successors(self, x: int) -> list[int]:
         """Elements strictly above x, ascending."""
         mask = self._succ[x]
-        return [y for y in range(self.n) if (mask >> y) & 1]
+        out = []
+        while mask:
+            low = mask & -mask
+            out.append(low.bit_length() - 1)
+            mask ^= low
+        return out
 
     def predecessors(self, y: int) -> list[int]:
         """Elements strictly below y, ascending."""

@@ -23,9 +23,9 @@ def s1_items() -> list[Interval]:
     return [Interval(a, b) for a, b in S1_PAIRS]
 
 
-def random_poset(rng: random.Random, max_n: int = 7) -> Poset:
+def random_poset(rng: random.Random, max_n: int = 7, min_n: int = 1) -> Poset:
     """Random labeled poset: a random DAG on index order, relabeled."""
-    n = rng.randint(1, max_n)
+    n = rng.randint(min_n, max_n)
     density = rng.choice([0.15, 0.3, 0.5, 0.8])
     relabel = list(range(n))
     rng.shuffle(relabel)
@@ -105,3 +105,17 @@ def dominated_pair(rng: random.Random, max_n: int = 9, equal_size: bool = False)
     a = sorted(rng.randint(max(0, b[i] - 8), b[i]) for i in range(na))
     a = tuple(min(x, y) for x, y in zip(a, b))
     return a, tuple(b)
+
+
+def top_dominated_pair(rng: random.Random, max_n: int = 9):
+    """A pair (A, B) of slot multisets with A dominating B from the top.
+
+    The i-th largest of A is drawn at or below the i-th largest of B, from
+    anywhere down to 0, so most pairs are not bottom-aligned (e.g. (5,)
+    against (1, 6)).
+    """
+    nb = rng.randint(1, max_n)
+    b = sorted(rng.randint(0, 24) for _ in range(nb))
+    na = rng.randint(1, nb)
+    a = sorted(rng.randint(0, b[nb - 1 - i]) for i in range(na))
+    return tuple(a), tuple(b)

@@ -219,7 +219,7 @@ def test_criterion_7a_insertion_preserves_domination():
     if first is not None:
         detail += (
             f"; e.g. A={first[0]} B={first[1]} insert {first[2]} k={first[3]}"
-            f" -> A'={first[4]} B'={first[5]} (sizes differ, prefix comparison breaks)"
+            f" -> A'={first[4]} B'={first[5]} (top-aligned domination lost)"
         )
     line = _report("7a (best-fit insertion preserves domination)", ok, detail)
     assert ok, line

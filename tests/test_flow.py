@@ -6,6 +6,7 @@ from heapchains import (
     InvalidMatching,
     LeftKMatching,
     build_split_graph,
+    greedy_partition_sequence,
     k_width,
     matching_to_partition,
     max_left_k_matching,
@@ -16,7 +17,7 @@ from heapchains import (
     verify_forest,
 )
 
-from conftest import random_poset
+from conftest import random_intervals, random_poset
 
 
 def chain(n):
@@ -77,6 +78,32 @@ class TestMatching:
                 assert y not in seen_plus
                 seen_plus.add(y)
             assert all(d <= k for d in out)
+
+    def test_size_matches_networkx_max_flow(self):
+        # Independent reference: networkx max flow on the network
+        # source -(k)-> minus -(1)-> plus -(1)-> sink.
+        import networkx as nx
+
+        rng = random.Random(5)
+        for _ in range(40):
+            p = random_poset(rng, max_n=120, min_n=20)
+            k = rng.randint(1, 4)
+            net = nx.DiGraph()
+            for x in range(p.n):
+                net.add_edge("s", ("-", x), capacity=k)
+                net.add_edge(("+", x), "t", capacity=1)
+                for y in p.successors(x):
+                    net.add_edge(("-", x), ("+", y), capacity=1)
+            want = nx.maximum_flow_value(net, "s", "t")
+            assert len(max_left_k_matching(build_split_graph(p, k))) == want
+
+    def test_deterministic_edges(self):
+        rng = random.Random(6)
+        for _ in range(20):
+            p = random_poset(rng, max_n=60, min_n=10)
+            k = rng.randint(1, 3)
+            first = max_left_k_matching(build_split_graph(p, k))
+            assert max_left_k_matching(build_split_graph(p, k)).edges == first.edges
 
 
 class TestPartitionReconstruction:
@@ -169,6 +196,12 @@ class TestKWidth:
             p = random_poset(rng)
             counts = [k_width(p, k)[0] for k in (1, 2, 3, 4)]
             assert all(a >= b for a, b in zip(counts, counts[1:]))
+
+    def test_greedy_sequence_matches_at_n_1000(self):
+        items = random_intervals(random.Random(1000), 1000)
+        count, forest = k_width(poset_from_interval_sequence(items), 2)
+        assert count == greedy_partition_sequence(items, 2)[0]
+        assert len(forest.roots) == count
 
     def test_count_n_iff_antichain(self):
         rng = random.Random(24)

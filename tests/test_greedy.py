@@ -29,7 +29,12 @@ from heapchains import (
     verify_forest,
 )
 
-from conftest import dominated_pair, random_intervals, random_intervals_distinct
+from conftest import (
+    dominated_pair,
+    random_intervals,
+    random_intervals_distinct,
+    top_dominated_pair,
+)
 
 
 class TestSignatureAndDomination:
@@ -299,12 +304,23 @@ class TestDominationCalculus:
         assert dominates(a2, b2)
 
     def test_new_chain_agreement(self):
+        # When only the dominating side A starts a new chain at x, A has no
+        # slot <= x: #{a > x} = |A| <= #{b > x} < |B|, so A is strictly
+        # smaller and the extra chain keeps the count no larger.  (A new
+        # chain on A does not force one on B: (5,) dominates (1, 6) at x=3.)
+        # Bottom-aligned draws have min(a) <= min(b) and never split; the
+        # general top-aligned draws must.
         rng = random.Random(42)
-        for _ in range(3000):
-            a, b = dominated_pair(rng)
-            x = rng.randint(0, 26)
-            if min(a) > x:  # best fit on the dominating side starts a new chain
-                assert min(b) > x
+        for draw in (dominated_pair, top_dominated_pair):
+            split = 0
+            for _ in range(3000):
+                a, b = draw(rng)
+                assert dominates(a, b), (a, b)
+                x = rng.randint(0, 26)
+                if min(a) > x >= min(b):
+                    split += 1
+                    assert len(a) < len(b), (a, b, x)
+            assert split > 0 or draw is dominated_pair
 
     def test_deletion_domination(self):
         rng = random.Random(43)
