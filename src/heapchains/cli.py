@@ -47,11 +47,10 @@ from .simulate import (
     MODE_SORTED_SET,
     SimConfig,
     estimate_scaling,
+    run_process,
     sample_intervals,
     trial_rng,
     write_trials_csv,
-    _chain_count,
-    _sample_pairs,
 )
 from .sweep import sweep_partition
 
@@ -121,12 +120,14 @@ def _cmd_max_heapable(args) -> int:
 def _cmd_permutation(args) -> int:
     perm = formats.load_permutation(args.input)
     count, forest = greedy_partition_permutation(perm, args.k)
-    trace = tuple(
-        TraceStep(value, NEW_CHAIN)
-        if forest.parent[value] is None
-        else TraceStep(value, ATTACHED, parent=forest.parent[value], slot=forest.parent[value])
-        for value in perm
-    )
+    trace = None
+    if args.trace:
+        trace = tuple(
+            TraceStep(value, NEW_CHAIN)
+            if forest.parent[value] is None
+            else TraceStep(value, ATTACHED, parent=forest.parent[value], slot=forest.parent[value])
+            for value in perm
+        )
     return _emit(count, forest, trace, args)
 
 
@@ -198,7 +199,7 @@ def _cmd_crosscheck(args) -> int:
     for trial in range(args.trials):
         k = trial % 3 + 1
         n = rng.randint(1, 200)
-        count = _chain_count(_sample_pairs(trial_rng(args.seed + trial, 0), n), k)
+        count = run_process(n, k, trial_rng(args.seed + trial, 0))[0]
         items = sample_intervals(trial_rng(args.seed + trial, 0), n)
         got = greedy_partition_sequence(items, k)[0]
         if count != got:

@@ -19,6 +19,13 @@ class InputFormatError(ValueError):
 
 def parse_exact(text: str) -> Coord:
     """Exact numeric parse of a decimal string; integers stay ints."""
+    # int() accepts a subset of the strings Fraction() does, with the same
+    # value, and is much faster; a decimal point would only make it raise.
+    if "." not in text:
+        try:
+            return int(text)
+        except ValueError:
+            pass
     value = Fraction(text)
     return int(value) if value.denominator == 1 else value
 

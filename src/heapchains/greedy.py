@@ -12,18 +12,26 @@ is the relation best-fit insertion preserves.
 
 Slot multisets are plain iterables of exact numeric values; signatures are
 sorted tuples.
+
+The partition algorithms rank all endpoints once, exactly, into
+order-isomorphic ints, and run on one counted slot pool that holds a single
+entry per slot owner together with its unused lives.  Best fit therefore
+compares only ints, and its cost does not depend on k.  Traces still report
+each consumed slot by its original coordinate.  The sweep line in
+``heapchains.sweep`` uses the same ranks and pool.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from bisect import bisect_right, insort
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from sortedcontainers import SortedList
 
-from .poset import Coord, HeapForest, Interval, NotAPermutation, _check_arity, total_order_key
+from .poset import Coord, HeapForest, Interval, NotAPermutation, _check_arity
 
 NEW_CHAIN = "new_chain"
 ATTACHED = "attached"
@@ -93,53 +101,94 @@ def insert_interval(
     return tuple(values), consumed
 
 
+def _dense_ranks(values: Sequence[Coord]) -> list[int]:
+    """Order-isomorphic ranks: equal values share a rank, and
+    rank(a) <= rank(b) iff a <= b.
+
+    Exact for any mix of int, Fraction and finite float: each value p/q is
+    scaled to the integer p * (L // q), where L is the lcm of the
+    denominators, so values are only ever compared as ints.
+    """
+    try:
+        ratios = [v.as_integer_ratio() for v in values]
+    except AttributeError:  # numpy integers are Rational but lack the method
+        ratios = [
+            (int(v.numerator), int(v.denominator))
+            if isinstance(v, numbers.Rational)
+            else v.as_integer_ratio()
+            for v in values
+        ]
+    lcm = math.lcm(*{q for _, q in ratios})
+    keys = [p * (lcm // q) for p, q in ratios]
+    rank = {key: r for r, key in enumerate(sorted(set(keys)))}
+    return [rank[key] for key in keys]
+
+
+def _interval_ranks(items: Sequence[Interval]) -> tuple[list[int], list[int]]:
+    """Left and right endpoint ranks, ranked together."""
+    ranks = _dense_ranks([item.left for item in items] + [item.right for item in items])
+    return ranks[: len(items)], ranks[len(items) :]
+
+
+def _set_order(lefts: Sequence[int], rights: Sequence[int]) -> list[int]:
+    return sorted(range(len(lefts)), key=lambda i: (rights[i], lefts[i]))
+
+
 class _SlotPool:
-    """Slot copies as (value, owner) pairs; best fit takes the highest value,
-    breaking ties toward the lowest owner id."""
+    """Open slots with one entry per owner and a count of its unused lives.
 
-    def __init__(self):
-        self._entries = SortedList()
+    Slot values are ranks and owners lie in range(span).  Best fit takes the
+    highest rank <= bound, breaking ties toward the lowest owner id.  Each
+    entry is the int rank * span + (span - 1 - owner), so one bisect finds
+    both; the cost of an operation does not depend on the lives count.
+    """
 
-    def __len__(self) -> int:
-        return len(self._entries)
+    __slots__ = ("_span", "_keys", "_lives")
 
-    def add(self, value: Coord, owner: int, copies: int) -> None:
-        for _ in range(copies):
-            self._entries.add((value, owner))
+    def __init__(self, span: int):
+        self._span = span
+        self._keys = SortedList()
+        self._lives = [0] * span
 
-    def take_best(self, bound: Coord, strict: bool = False) -> Optional[tuple[Coord, int]]:
-        if strict:
-            idx = self._entries.bisect_left((bound,)) - 1
-        else:
-            idx = self._entries.bisect_right((bound, math.inf)) - 1
+    def open(self, rank: int, owner: int, lives: int) -> None:
+        """Give owner (which must not be open yet) ``lives`` slots at rank."""
+        self._lives[owner] = lives
+        self._keys.add(rank * self._span + self._span - 1 - owner)
+
+    def take_best(self, bound: int) -> Optional[int]:
+        """Spend one life of the best slot at or below bound; return its owner."""
+        keys = self._keys
+        idx = keys.bisect_left((bound + 1) * self._span) - 1
         if idx < 0:
             return None
-        value = self._entries[idx][0]
-        return self._entries.pop(self._entries.bisect_left((value,)))
-
-    def values(self) -> tuple[Coord, ...]:
-        return tuple(entry[0] for entry in self._entries)
+        owner = self._span - 1 - keys[idx] % self._span
+        self._lives[owner] -= 1
+        if not self._lives[owner]:
+            del keys[idx]
+        return owner
 
 
 def _run_best_fit(
-    items: Sequence[Interval], order: Sequence[int], k: int
+    items: Sequence[Interval],
+    order: Sequence[int],
+    lefts: Sequence[int],
+    rights: Sequence[int],
+    k: int,
 ) -> tuple[int, HeapForest, tuple[TraceStep, ...]]:
-    pool = _SlotPool()
+    pool = _SlotPool(len(items))
     parent: dict[int, Optional[int]] = {}
     trace = []
     count = 0
     for i in order:
-        item = items[i]
-        best = pool.take_best(item.left)
-        if best is None:
+        owner = pool.take_best(lefts[i])
+        if owner is None:
             parent[i] = None
             count += 1
             trace.append(TraceStep(i, NEW_CHAIN))
         else:
-            value, owner = best
             parent[i] = owner
-            trace.append(TraceStep(i, ATTACHED, parent=owner, slot=value))
-        pool.add(item.right, i, k)
+            trace.append(TraceStep(i, ATTACHED, parent=owner, slot=items[owner].right))
+        pool.open(rights[i], i, k)
     return count, HeapForest(k, parent), tuple(trace)
 
 
@@ -148,12 +197,13 @@ def greedy_partition_sequence(
 ) -> tuple[int, HeapForest, tuple[TraceStep, ...]]:
     """Minimum partition of an interval sequence into k-ary chains (best fit)."""
     _check_arity(k)
-    return _run_best_fit(items, range(len(items)), k)
+    lefts, rights = _interval_ranks(items)
+    return _run_best_fit(items, range(len(items)), lefts, rights, k)
 
 
 def sorted_set_order(items: Sequence[Interval]) -> list[int]:
     """Item ids in the total order: right endpoint, then left, then input index."""
-    return sorted(range(len(items)), key=lambda i: total_order_key(items[i]))
+    return _set_order(*_interval_ranks(items))
 
 
 def greedy_partition_set(
@@ -161,7 +211,8 @@ def greedy_partition_set(
 ) -> tuple[int, HeapForest, tuple[TraceStep, ...]]:
     """Minimum partition of an interval set: sort by the total order, then best fit."""
     _check_arity(k)
-    return _run_best_fit(items, sorted_set_order(items), k)
+    lefts, rights = _interval_ranks(items)
+    return _run_best_fit(items, _set_order(lefts, rights), lefts, rights, k)
 
 
 def greedy_partition_permutation(perm: Sequence[int], k: int) -> tuple[int, HeapForest]:
@@ -174,17 +225,16 @@ def greedy_partition_permutation(perm: Sequence[int], k: int) -> tuple[int, Heap
     seq = list(perm)
     if sorted(seq) != list(range(len(seq))):
         raise NotAPermutation(f"not a bijection on 0..{len(seq) - 1}: {seq!r}")
-    pool = _SlotPool()
+    # The values are their own ranks, and each value owns its own slots.
+    pool = _SlotPool(len(seq))
     parent: dict[int, Optional[int]] = {}
     count = 0
     for value in seq:
-        best = pool.take_best(value, strict=True)
-        if best is None:
-            parent[value] = None
+        owner = pool.take_best(value - 1)
+        if owner is None:
             count += 1
-        else:
-            parent[value] = best[1]
-        pool.add(value, value, k)
+        parent[value] = owner
+        pool.open(value, value, k)
     return count, HeapForest(k, parent)
 
 
@@ -198,25 +248,24 @@ def greedy_max_heapable_subset(
     never open slots).
     """
     _check_arity(k)
-    pool = _SlotPool()
+    lefts, rights = _interval_ranks(items)
+    pool = _SlotPool(len(items))
     parent: dict[int, Optional[int]] = {}
     subset: list[int] = []
     trace = []
-    for i in sorted_set_order(items):
-        item = items[i]
+    for i in _set_order(lefts, rights):
         if not subset:
             parent[i] = None
             trace.append(TraceStep(i, NEW_CHAIN))
         else:
-            best = pool.take_best(item.left)
-            if best is None:
+            owner = pool.take_best(lefts[i])
+            if owner is None:
                 trace.append(TraceStep(i, REJECTED))
                 continue
-            value, owner = best
             parent[i] = owner
-            trace.append(TraceStep(i, ATTACHED, parent=owner, slot=value))
+            trace.append(TraceStep(i, ATTACHED, parent=owner, slot=items[owner].right))
         subset.append(i)
-        pool.add(item.right, i, k)
+        pool.open(rights[i], i, k)
     return tuple(sorted(subset)), HeapForest(k, parent), tuple(trace)
 
 

@@ -9,6 +9,7 @@ types.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Union
@@ -32,26 +33,35 @@ class ElementMismatch(ValueError):
     """A forest does not cover exactly the poset's elements."""
 
 
+def _check_finite(*coords: Coord) -> None:
+    # Only floats can be non-finite; exact int and Fraction coordinates skip the test.
+    for c in coords:
+        if isinstance(c, float) and not math.isfinite(c):
+            raise ValueError(f"coordinate must be finite, got {c!r}")
+
+
 @dataclass(frozen=True)
 class Interval:
-    """Closed interval [left, right] with left <= right."""
+    """Closed interval [left, right] with left <= right; NaN and ±inf are rejected."""
 
     left: Coord
     right: Coord
 
     def __post_init__(self):
+        _check_finite(self.left, self.right)
         if self.left > self.right:
             raise ValueError(f"interval endpoints out of order: [{self.left}, {self.right}]")
 
 
 @dataclass(frozen=True)
 class Box:
-    """Axis-parallel box given by its lower and upper corners."""
+    """Axis-parallel box given by its lower and upper corners; NaN and ±inf are rejected."""
 
     lower: tuple[Coord, Coord]
     upper: tuple[Coord, Coord]
 
     def __post_init__(self):
+        _check_finite(*self.lower, *self.upper)
         if self.lower[0] > self.upper[0] or self.lower[1] > self.upper[1]:
             raise ValueError(f"box corners out of order: {self.lower} / {self.upper}")
 

@@ -5,15 +5,17 @@ Boxes are processed as corner events from left to right.  A box's k slots
 *unavailable* until its upper corner has been swept, because only a box whose
 x-extent is fully to the left may serve as a parent.  A lower corner attaches
 to the highest available slot at or below its y, or starts a new chain when
-none exists (the permanent sentinel below all inputs).
+none exists (the permanent sentinel below all inputs).  The y coordinates
+are ranked once, exactly, and the slots live in the counted pool of
+``heapchains.greedy``.
 """
 
 from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from .greedy import _SlotPool
-from .poset import Box, Coord, HeapForest, _check_arity
+from .greedy import _dense_ranks, _SlotPool
+from .poset import Box, HeapForest, _check_arity
 
 _UPPER = 0  # at equal x, upper corners are swept before lower corners
 _LOWER = 1
@@ -26,7 +28,10 @@ def sweep_partition(boxes: Sequence[Box], k: int) -> tuple[int, HeapForest]:
     chain count and a forest over the original box ids.
     """
     _check_arity(k)
-    order = sorted(range(len(boxes)), key=lambda i: boxes[i].upper[0])
+    n = len(boxes)
+    ys = _dense_ranks([box.lower[1] for box in boxes] + [box.upper[1] for box in boxes])
+    lower_y, upper_y = ys[:n], ys[n:]
+    order = sorted(range(n), key=lambda i: boxes[i].upper[0])
     rank = {bid: pos for pos, bid in enumerate(order)}
     events = []
     for bid, box in enumerate(boxes):
@@ -34,27 +39,19 @@ def sweep_partition(boxes: Sequence[Box], k: int) -> tuple[int, HeapForest]:
         events.append((box.lower[0], _LOWER, rank[bid], bid))
     events.sort(key=lambda e: e[:3])
 
-    available = _SlotPool()
-    pending: dict[int, Coord] = {}  # box id -> slot value awaiting its upper corner
-    swept: set[int] = set()
+    available = _SlotPool(n)
+    # A box's slots open once both its corners have been swept: only then
+    # does its whole x-extent lie left of the sweep.
+    half_swept = [False] * n
     parent: dict[int, Optional[int]] = {}
     count = 0
     for _, kind, _, bid in events:
-        box = boxes[bid]
-        if kind == _UPPER:
-            swept.add(bid)
-            if bid in pending:
-                available.add(pending.pop(bid), bid, k)
-        else:
-            best = available.take_best(box.lower[1])
-            if best is None:
-                parent[bid] = None
+        if kind == _LOWER:
+            owner = available.take_best(lower_y[bid])
+            if owner is None:
                 count += 1
-            else:
-                parent[bid] = best[1]
-            # A zero-x-extent box has already been swept; its slots open available.
-            if bid in swept:
-                available.add(box.upper[1], bid, k)
-            else:
-                pending[bid] = box.upper[1]
+            parent[bid] = owner
+        if half_swept[bid]:
+            available.open(upper_y[bid], bid, k)
+        half_swept[bid] = True
     return count, HeapForest(k, parent)

@@ -33,6 +33,15 @@ class TestFormats:
         assert items[1] == Interval(2, 3)
         assert isinstance(items[1].left, int)
 
+    def test_parse_exact_accepted_strings(self):
+        for text, want in [("1_000", 1000), ("+5", 5), ("-0", 0), (" 7", 7), ("1e3", 1000)]:
+            got = formats.parse_exact(text)
+            assert got == want and type(got) is int, text
+        got = formats.parse_exact("3.250")
+        assert got == Fraction(13, 4) and type(got) is Fraction
+        with pytest.raises(ValueError):
+            formats.parse_exact("0x10")
+
     def test_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "iv.csv"
         path.write_text("\n1,2\n\n3,4\n")
@@ -143,8 +152,15 @@ class TestCliCommands:
         path.write_text("1\n2\n0\n3\n")
         assert run(["permutation", "--k", "2", "--input", str(path), "--trace"]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
-        assert lines[-1] == "2"
-        assert len(lines) == 5
+        assert lines == [
+            "item 1: new chain",
+            "item 2: attached to 1 via slot 1",
+            "item 0: new chain",
+            "item 3: attached to 2 via slot 2",
+            "2",
+        ]
+        assert run(["permutation", "--k", "2", "--input", str(path)]) == 0
+        assert capsys.readouterr().out == "2\n"
 
     def test_trapezoid(self, capsys, tmp_path):
         path = tmp_path / "bx.csv"

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,9 +10,11 @@ from heapchains import (
     ATTACHED,
     NEW_CHAIN,
     REJECTED,
+    Box,
     IncompatibleChoice,
     Interval,
     NotAPermutation,
+    TraceStep,
     chain_signatures,
     dominates,
     greedy_max_heapable_subset,
@@ -26,8 +29,11 @@ from heapchains import (
     poset_from_interval_set,
     poset_from_permutation,
     signature,
+    sorted_set_order,
+    sweep_partition,
     verify_forest,
 )
+from heapchains.greedy import _dense_ranks
 
 from conftest import (
     dominated_pair,
@@ -368,3 +374,155 @@ class TestExactArithmetic:
         assert greedy_partition_sequence(items, 1)[0] == 1
         items = [Interval(Fraction(1, 3), Fraction(6676, 10000)), Interval(Fraction(2, 3), 1)]
         assert greedy_partition_sequence(items, 1)[0] == 2
+
+
+def _naive_take(slots, bound, strict=False):
+    """Best fit over a plain list of [value, owner, lives] entries: the
+    highest value <= bound (< bound when strict), then the lowest owner.
+    Spends one life and returns the entry, or None when nothing fits."""
+    best = None
+    for entry in slots:
+        value, owner, _ = entry
+        if value < bound or (value == bound and not strict):
+            if best is None or value > best[0] or (value == best[0] and owner < best[1]):
+                best = entry
+    if best is not None:
+        best[2] -= 1
+        if best[2] == 0:
+            slots.remove(best)
+    return best
+
+
+def _naive_intervals(items, order, k, single_chain=False):
+    slots, parent, trace = [], {}, []
+    for i in order:
+        best = _naive_take(slots, items[i].left)
+        if best is not None:
+            parent[i] = best[1]
+            trace.append(TraceStep(i, ATTACHED, parent=best[1], slot=best[0]))
+        elif single_chain and parent:
+            trace.append(TraceStep(i, REJECTED))
+            continue
+        else:
+            parent[i] = None
+            trace.append(TraceStep(i, NEW_CHAIN))
+        slots.append([items[i].right, i, k])
+    return parent, tuple(trace)
+
+
+def _naive_permutation(perm, k):
+    slots, parent = [], {}
+    for value in perm:
+        best = _naive_take(slots, value, strict=True)
+        parent[value] = None if best is None else best[1]
+        slots.append([value, value, k])
+    return parent
+
+
+def _naive_sweep(boxes, k):
+    by_upper = sorted(range(len(boxes)), key=lambda i: boxes[i].upper[0])
+    pos = {bid: p for p, bid in enumerate(by_upper)}
+    events = sorted(
+        [(box.upper[0], 0, pos[bid], bid) for bid, box in enumerate(boxes)]
+        + [(box.lower[0], 1, pos[bid], bid) for bid, box in enumerate(boxes)]
+    )
+    slots, parent, swept = [], {}, set()
+    for _, is_lower, _, bid in events:
+        box = boxes[bid]
+        if is_lower:
+            best = _naive_take(slots, box.lower[1])
+            parent[bid] = None if best is None else best[1]
+            if bid in swept:
+                slots.append([box.upper[1], bid, k])
+        else:
+            swept.add(bid)
+            if bid in parent:
+                slots.append([box.upper[1], bid, k])
+    return parent
+
+
+def _tied_coord(rng):
+    """A coordinate from a small grid, as int, Fraction or float at random, so
+    equal values of different types and near-equal float/Fraction pairs both
+    occur (float(1/3) is not Fraction(1, 3))."""
+    value = Fraction(rng.randint(0, 12), rng.choice([1, 2, 3]))
+    kind = rng.randrange(3)
+    if kind == 0 and value.denominator == 1:
+        return int(value)
+    if kind == 1:
+        return float(value)
+    return value
+
+
+def _typed(trace):
+    return [(step, type(step.slot)) for step in trace]
+
+
+class TestNaiveReference:
+    """Every greedy variant and the sweep against a plain list-scan best fit
+    on the original coordinates: no sorted containers and no ranks."""
+
+    KS = (1, 2, 3, 8)
+
+    def test_dense_ranks_are_exact_across_types(self):
+        values = [1, Fraction(1, 2), 0.5, 0.1, Fraction(1, 10), -2, 1.0, 10**30]
+        assert _dense_ranks(values) == [4, 3, 3, 2, 1, 0, 4, 5]
+        assert _dense_ranks([]) == []
+        numpy_values = [np.int64(3), 1, np.int64(1), Fraction(1, 2), np.float32(0.5), 2**70]
+        assert _dense_ranks(numpy_values) == [2, 1, 1, 0, 0, 3]
+
+    def test_interval_variants(self):
+        rng = random.Random(45)
+        for _ in range(400):
+            n = rng.randint(0, 30)
+            items = [Interval(*sorted((_tied_coord(rng), _tied_coord(rng)))) for _ in range(n)]
+            k = rng.choice(self.KS)
+            by_total = sorted(range(n), key=lambda i: (items[i].right, items[i].left))
+            assert sorted_set_order(items) == by_total
+
+            parent, trace = _naive_intervals(items, range(n), k)
+            count, forest, got = greedy_partition_sequence(items, k)
+            assert count == list(parent.values()).count(None)
+            assert forest.parent == parent and _typed(got) == _typed(trace)
+
+            parent, trace = _naive_intervals(items, by_total, k)
+            count, forest, got = greedy_partition_set(items, k)
+            assert count == list(parent.values()).count(None)
+            assert forest.parent == parent and _typed(got) == _typed(trace)
+
+            parent, trace = _naive_intervals(items, by_total, k, single_chain=True)
+            subset, forest, got = greedy_max_heapable_subset(items, k)
+            assert subset == tuple(sorted(parent))
+            assert forest.parent == parent and _typed(got) == _typed(trace)
+
+    def test_trace_slots_keep_their_coordinates(self):
+        items = [Interval(0, Fraction(1, 2)), Interval(0.5, 0.75), Interval(Fraction(3, 4), 2)]
+        _, _, trace = greedy_partition_sequence(items, 1)
+        slots = [step.slot for step in trace]
+        assert slots == [None, Fraction(1, 2), 0.75]
+        assert [type(slot) for slot in slots] == [type(None), Fraction, float]
+
+    def test_permutation(self):
+        rng = random.Random(46)
+        for _ in range(300):
+            perm = list(range(rng.randint(0, 40)))
+            rng.shuffle(perm)
+            k = rng.choice(self.KS)
+            parent = _naive_permutation(perm, k)
+            count, forest = greedy_partition_permutation(perm, k)
+            assert count == list(parent.values()).count(None)
+            assert forest.parent == parent
+
+    def test_sweep(self):
+        rng = random.Random(47)
+        for _ in range(400):
+            boxes = []
+            for _ in range(rng.randint(0, 30)):
+                x1, x2 = sorted((_tied_coord(rng), _tied_coord(rng)))
+                y1, y2 = sorted((_tied_coord(rng), _tied_coord(rng)))
+                boxes.append(Box((x1, y1), (x2, y2)))
+            k = rng.choice(self.KS)
+            parent = _naive_sweep(boxes, k)
+            count, forest = sweep_partition(boxes, k)
+            assert count == list(parent.values()).count(None)
+            assert forest.parent == parent

@@ -1,4 +1,6 @@
+import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -134,6 +136,24 @@ class TestIntervalPosets:
     def test_single_degenerate_interval_ok(self):
         p = poset_from_interval_set([Interval(2, 2), Interval(3, 4)])
         assert p.pairs() == [(0, 1)]
+
+
+class TestNonFiniteCoordinates:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_interval_rejects(self, bad):
+        for left, right in [(bad, bad), (bad, 1), (0, bad)]:
+            with pytest.raises(ValueError, match="finite"):
+                Interval(left, right)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_box_rejects(self, bad):
+        for coords in [(bad, 0, 1, 1), (0, bad, 1, 1), (0, 0, bad, 1), (0, 0, 1, bad)]:
+            with pytest.raises(ValueError, match="finite"):
+                Box(coords[:2], coords[2:])
+
+    def test_finite_values_of_every_type_accepted(self):
+        assert Interval(0.5, Fraction(3, 2)).right == Fraction(3, 2)
+        assert Box((0, 0.25), (Fraction(1, 3), 1.0)).upper == (Fraction(1, 3), 1.0)
 
 
 class TestBoxPoset:
