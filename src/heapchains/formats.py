@@ -100,9 +100,10 @@ def load_poset_json(path) -> Poset:
 
 
 def save_poset_json(path, poset: Poset) -> None:
+    obj = {"n": poset.n, "relations": [list(p) for p in poset.pairs()]}
     with open(path, "w") as handle:
-        json.dump({"n": poset.n, "relations": [list(p) for p in poset.pairs()]}, handle)
-        handle.write("\n")
+        # json.dumps runs the C encoder; json.dump always runs the Python one.
+        handle.write(json.dumps(obj) + "\n")
 
 
 def save_forest_json(path, forest: HeapForest) -> None:
@@ -112,12 +113,15 @@ def save_forest_json(path, forest: HeapForest) -> None:
         for child in sorted(forest.parent)
         if forest.parent[child] is not None
     }
+    obj = {"k": forest.k, "roots": list(forest.roots), "parent": parent}
     with open(path, "w") as handle:
-        json.dump({"k": forest.k, "roots": list(forest.roots), "parent": parent}, handle)
-        handle.write("\n")
+        handle.write(json.dumps(obj) + "\n")
 
 
 def load_forest_json(path) -> HeapForest:
+    """Inverse of save_forest_json.  Checks the shape of the file and that no
+    node is listed both as a root and as a child; whether the forest is a
+    valid partition of some poset is left to ``verify_forest``."""
     with open(path) as handle:
         try:
             data = json.load(handle)
@@ -125,8 +129,12 @@ def load_forest_json(path) -> HeapForest:
             raise InputFormatError(f"{path}: invalid JSON: {exc}") from exc
     try:
         parent: dict[int, int | None] = {int(root): None for root in data["roots"]}
-        for child, par in data["parent"].items():
-            parent[int(child)] = int(par)
-        return HeapForest(int(data["k"]), parent)
+        children = {int(child): int(par) for child, par in data["parent"].items()}
+        k = int(data["k"])
     except (KeyError, TypeError, ValueError) as exc:
         raise InputFormatError(f"{path}: malformed forest JSON") from exc
+    both = sorted(parent.keys() & children.keys())
+    if both:
+        raise InputFormatError(f"{path}: node {both[0]} is listed as a root and as a child")
+    parent.update(children)
+    return HeapForest(k, parent)

@@ -18,7 +18,8 @@ order-isomorphic ints, and run on one counted slot pool that holds a single
 entry per slot owner together with its unused lives.  Best fit therefore
 compares only ints, and its cost does not depend on k.  Traces still report
 each consumed slot by its original coordinate.  The sweep line in
-``heapchains.sweep`` uses the same ranks and pool.
+``heapchains.sweep`` and the particle process in ``heapchains.simulate``
+use the same pool.
 """
 
 from __future__ import annotations
@@ -27,9 +28,8 @@ import math
 import numbers
 from bisect import bisect_right, insort
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from typing import Iterable, Optional, Sequence
-
-from sortedcontainers import SortedList
 
 from .poset import Coord, HeapForest, Interval, NotAPermutation, _check_arity
 
@@ -137,35 +137,81 @@ def _set_order(lefts: Sequence[int], rights: Sequence[int]) -> list[int]:
 class _SlotPool:
     """Open slots with one entry per owner and a count of its unused lives.
 
-    Slot values are ranks and owners lie in range(span).  Best fit takes the
-    highest rank <= bound, breaking ties toward the lowest owner id.  Each
-    entry is the int rank * span + (span - 1 - owner), so one bisect finds
-    both; the cost of an operation does not depend on the lives count.
+    Slot values are ranks in range(ranks) and owners lie in range(owners).
+    Best fit takes the highest rank <= bound, breaking ties toward the
+    lowest owner id.  Live ranks are bits of 64-bit block ints, and a
+    summary int has a bit for each non-empty block, so finding the best
+    rank takes one mask and ``bit_length`` on a block and at most one more
+    on the summary.  A rank keeps its owner as a plain int, or as a heap
+    when several owners share it.  Lives are counted per owner, so the cost
+    of an operation does not depend on the lives count.
     """
 
-    __slots__ = ("_span", "_keys", "_lives")
+    __slots__ = ("_blocks", "_summary", "_owners", "_lives")
 
-    def __init__(self, span: int):
-        self._span = span
-        self._keys = SortedList()
-        self._lives = [0] * span
+    def __init__(self, ranks: int, owners: int):
+        self._blocks = [0] * ((ranks + 63) >> 6)
+        self._summary = 0
+        self._owners = [None] * ranks
+        self._lives = [0] * owners
 
     def open(self, rank: int, owner: int, lives: int) -> None:
         """Give owner (which must not be open yet) ``lives`` slots at rank."""
         self._lives[owner] = lives
-        self._keys.add(rank * self._span + self._span - 1 - owner)
+        entry = self._owners[rank]
+        if entry is None:
+            self._owners[rank] = owner
+            block = rank >> 6
+            if not self._blocks[block]:
+                self._summary |= 1 << block
+            self._blocks[block] |= 1 << (rank & 63)
+        elif type(entry) is int:
+            self._owners[rank] = [entry, owner] if entry < owner else [owner, entry]
+        else:
+            heappush(entry, owner)
 
     def take_best(self, bound: int) -> Optional[int]:
         """Spend one life of the best slot at or below bound; return its owner."""
-        keys = self._keys
-        idx = keys.bisect_left((bound + 1) * self._span) - 1
-        if idx < 0:
+        if bound < 0:
             return None
-        owner = self._span - 1 - keys[idx] % self._span
+        blocks = self._blocks
+        block = bound >> 6
+        if block < len(blocks):
+            mask = blocks[block] & ((2 << (bound & 63)) - 1)
+        else:
+            block, mask = len(blocks), 0
+        if not mask:
+            below = self._summary & ((1 << block) - 1)
+            if not below:
+                return None
+            block = below.bit_length() - 1
+            mask = blocks[block]
+        rank = block << 6 | (mask.bit_length() - 1)
+        entry = self._owners[rank]
+        owner = entry if type(entry) is int else entry[0]
         self._lives[owner] -= 1
-        if not self._lives[owner]:
-            del keys[idx]
+        if self._lives[owner]:
+            return owner
+        if type(entry) is int:
+            self._owners[rank] = None
+            blocks[block] = mask = blocks[block] ^ (1 << (rank & 63))
+            if not mask:
+                self._summary ^= 1 << block
+        else:
+            heappop(entry)
+            if len(entry) == 1:
+                self._owners[rank] = entry[0]
         return owner
+
+    def ranks(self) -> list[int]:
+        """Ranks of the unused slots, ascending, one per life."""
+        lives = self._lives
+        live = []
+        for rank, entry in enumerate(self._owners):
+            if entry is not None:
+                for owner in [entry] if type(entry) is int else entry:
+                    live.extend([rank] * lives[owner])
+        return live
 
 
 def _run_best_fit(
@@ -175,7 +221,7 @@ def _run_best_fit(
     rights: Sequence[int],
     k: int,
 ) -> tuple[int, HeapForest, tuple[TraceStep, ...]]:
-    pool = _SlotPool(len(items))
+    pool = _SlotPool(2 * len(items), len(items))
     parent: dict[int, Optional[int]] = {}
     trace = []
     count = 0
@@ -226,7 +272,7 @@ def greedy_partition_permutation(perm: Sequence[int], k: int) -> tuple[int, Heap
     if sorted(seq) != list(range(len(seq))):
         raise NotAPermutation(f"not a bijection on 0..{len(seq) - 1}: {seq!r}")
     # The values are their own ranks, and each value owns its own slots.
-    pool = _SlotPool(len(seq))
+    pool = _SlotPool(len(seq), len(seq))
     parent: dict[int, Optional[int]] = {}
     count = 0
     for value in seq:
@@ -249,7 +295,7 @@ def greedy_max_heapable_subset(
     """
     _check_arity(k)
     lefts, rights = _interval_ranks(items)
-    pool = _SlotPool(len(items))
+    pool = _SlotPool(2 * len(items), len(items))
     parent: dict[int, Optional[int]] = {}
     subset: list[int] = []
     trace = []

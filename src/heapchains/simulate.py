@@ -3,9 +3,15 @@
 Arrivals are random subintervals of (0, 1): each [a, b] takes one life from
 the largest live particle with value at most a (starting a new chain when no
 such particle exists) and then inserts b as a fresh particle with k lives.
+This is the multiset Hammersley process of Istrate and Bonchis (CPM 2015).
 Live particles coincide with the greedy algorithm's open slots, so per-seed
 counts match ``greedy_partition_sequence`` exactly; sorting arrivals by
 (right, left) before feeding the process gives the set variant.
+
+Each trial ranks its draws exactly with ``np.unique`` (equal floats share a
+rank) and runs the process on the counted slot pool of
+``heapchains.greedy``, with one owner per arrival.  Floats come back only
+where ``run_process`` reports the final particles.
 
 Each trial derives its own generator from the root seed by a counter-based
 spawn, so trial order never affects results.
@@ -19,8 +25,8 @@ import statistics
 from dataclasses import dataclass
 
 import numpy as np
-from sortedcontainers import SortedList
 
+from .greedy import _SlotPool
 from .poset import Interval, _check_arity
 
 MODE_SEQUENCE = "seq"
@@ -80,30 +86,31 @@ def _sample_pairs(rng: np.random.Generator, n: int) -> list[tuple[float, float]]
     ]
 
 
-def _particle_process(pairs, k: int):
-    values = SortedList()
-    lives: dict[float, int] = {}
+def _ranked_pairs(draws: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct draws ascending, and each pair's lower and upper rank
+    among them; draws 2i and 2i + 1 form pair i."""
+    values, ranks = np.unique(draws, return_inverse=True)
+    firsts, seconds = ranks[0::2], ranks[1::2]
+    return values, np.minimum(firsts, seconds), np.maximum(firsts, seconds)
+
+
+def _particle_process(lefts, rights, ranks: int, k: int) -> tuple[int, _SlotPool]:
+    """Run arrivals given as rank arrays; return the new-chain count and the
+    pool of live particles."""
+    pool = _SlotPool(ranks, len(lefts))
+    take_best, open_slots = pool.take_best, pool.open
     count = 0
-    for a, b in pairs:
-        idx = values.bisect_right(a) - 1
-        if idx < 0:
+    for owner, (left, right) in enumerate(zip(lefts.tolist(), rights.tolist())):
+        if take_best(left) is None:
             count += 1
-        else:
-            v = values[idx]
-            lives[v] -= 1
-            if lives[v] == 0:
-                del lives[v]
-                values.pop(idx)
-        if b in lives:
-            lives[b] += k
-        else:
-            values.add(b)
-            lives[b] = k
-    return count, values, lives
+        open_slots(right, owner, k)
+    return count, pool
 
 
 def _chain_count(pairs, k: int) -> int:
-    return _particle_process(pairs, k)[0]
+    """New chains the process starts on float (left, right) pairs, in order."""
+    values, lefts, rights = _ranked_pairs(np.asarray(pairs, dtype=float).reshape(-1))
+    return _particle_process(lefts, rights, len(values), k)[0]
 
 
 def run_process(n: int, k: int, rng: np.random.Generator) -> tuple[int, tuple[float, ...]]:
@@ -113,9 +120,10 @@ def run_process(n: int, k: int, rng: np.random.Generator) -> tuple[int, tuple[fl
     (each particle value repeated once per remaining life).
     """
     _check_arity(k)
-    count, values, lives = _particle_process(_sample_pairs(rng, n), k)
-    particles = tuple(v for v in values for _ in range(lives[v]))
-    return count, particles
+    values, lefts, rights = _ranked_pairs(rng.random(2 * n))
+    count, pool = _particle_process(lefts, rights, len(values), k)
+    values = values.tolist()
+    return count, tuple(values[rank] for rank in pool.ranks())
 
 
 def normalized_count(count: float, n: int, k: int) -> float:
@@ -129,11 +137,12 @@ def estimate_scaling(config: SimConfig) -> SimStats:
     """Independent seeded trials of the process; aggregates per-trial chain counts."""
     counts = []
     for trial in range(config.trials):
-        rng = trial_rng(config.seed, trial)
-        pairs = _sample_pairs(rng, config.n)
+        draws = trial_rng(config.seed, trial).random(2 * config.n)
+        values, lefts, rights = _ranked_pairs(draws)
         if config.mode == MODE_SORTED_SET:
-            pairs.sort(key=lambda p: (p[1], p[0]))
-        counts.append(_chain_count(pairs, config.k))
+            order = np.lexsort((lefts, rights))
+            lefts, rights = lefts[order], rights[order]
+        counts.append(_particle_process(lefts, rights, len(values), config.k)[0])
     mean = statistics.fmean(counts)
     stderr = (
         statistics.stdev(counts) / math.sqrt(config.trials) if config.trials > 1 else 0.0

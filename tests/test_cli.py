@@ -1,11 +1,15 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from heapchains import formats, verify_forest
 from heapchains.cli import run
-from heapchains.poset import Interval, poset_from_relations
+from heapchains.poset import HeapForest, Interval, poset_from_relations
 
 from conftest import S1_PAIRS
 
@@ -93,6 +97,22 @@ class TestFormats:
         path = tmp_path / "p.json"
         formats.save_poset_json(path, poset)
         assert formats.load_poset_json(path) == poset
+
+    def test_saved_json_text(self, tmp_path):
+        path = tmp_path / "p.json"
+        formats.save_poset_json(path, poset_from_relations(4, [(0, 1), (1, 3)]))
+        expected = {"n": 4, "relations": [[0, 1], [0, 3], [1, 3]]}
+        assert path.read_text() == json.dumps(expected) + "\n"
+        path = tmp_path / "f.json"
+        formats.save_forest_json(path, HeapForest(2, {3: None, 2: 0, 0: None, 1: 0}))
+        expected = {"k": 2, "roots": [0, 3], "parent": {"1": 0, "2": 0}}
+        assert path.read_text() == json.dumps(expected) + "\n"
+
+    def test_forest_root_and_child_rejected(self, tmp_path):
+        path = tmp_path / "f.json"
+        path.write_text('{"k": 2, "roots": [0, 1], "parent": {"1": 0, "2": 0}}')
+        with pytest.raises(formats.InputFormatError, match="node 1 is listed as a root"):
+            formats.load_forest_json(path)
 
     def test_forest_roundtrip(self, tmp_path):
         from heapchains import greedy_partition_sequence
@@ -234,3 +254,23 @@ class TestCliErrors:
         path = tmp_path / "p.json"
         path.write_text(json.dumps({"n": 9, "relations": []}))
         assert run(["oracle", "--what", "kwidth", "--k", "1", "--poset", str(path)]) == 2
+
+
+class TestImportFootprint:
+    def test_cli_imports_no_optional_packages(self):
+        # sortedcontainers is no longer a dependency; scipy and networkx
+        # would add their import time and memory to every CLI call.
+        import heapchains
+
+        src = str(Path(heapchains.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        code = (
+            "import sys, heapchains.cli; "
+            "print(sorted({'sortedcontainers', 'scipy', 'networkx'} & set(sys.modules)))"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[]"

@@ -33,7 +33,7 @@ from heapchains import (
     sweep_partition,
     verify_forest,
 )
-from heapchains.greedy import _dense_ranks
+from heapchains.greedy import _dense_ranks, _SlotPool
 
 from conftest import (
     dominated_pair,
@@ -526,3 +526,52 @@ class TestNaiveReference:
             count, forest = sweep_partition(boxes, k)
             assert count == list(parent.values()).count(None)
             assert forest.parent == parent
+
+
+class TestSlotPool:
+    """The bitset pool against _naive_take: highest rank <= bound, then the
+    lowest owner, one life spent per take."""
+
+    def test_boundary_ranks_shared_by_descending_owners(self):
+        ranks = (0, 63, 64, 127, 128, 191, 192, 255)
+        pool, slots = _SlotPool(256, 3 * len(ranks)), []
+        owner = 3 * len(ranks)
+        for rank in ranks:
+            for lives in (1, 2, 1):
+                owner -= 1
+                pool.open(rank, owner, lives)
+                slots.append([rank, owner, lives])
+        assert pool.take_best(-1) is None
+        assert pool.take_best(10**6) == 0 == _naive_take(slots, 10**6)[1]
+        for bound in (-1, 0, 1, 62, 63, 64, 65, 126, 127, 128, 190, 192, 255, 256, 10**6):
+            while True:
+                best = _naive_take(slots, bound)
+                assert pool.take_best(bound) == (None if best is None else best[1])
+                if best is None:
+                    break
+        assert slots == [] and pool.ranks() == []
+
+    def test_random_operations(self):
+        rng = random.Random(49)
+        for _ in range(300):
+            ranks = rng.choice([1, 2, 63, 64, 65, 100, 128, 300])
+            owners = rng.randint(1, 60)
+            pool, slots = _SlotPool(ranks, owners), []
+            unopened = list(range(owners))
+            if rng.random() < 0.5:
+                rng.shuffle(unopened)
+            # A small set of ranks makes owners share them; boundary ranks
+            # exercise the block edges.
+            choices = [r for r in (0, 63, 64, 127, 128, 255, ranks - 1) if r < ranks]
+            choices += rng.sample(range(ranks), min(ranks, 3))
+            for _ in range(rng.randint(0, 150)):
+                if unopened and rng.random() < 0.5:
+                    rank, lives = rng.choice(choices), rng.randint(1, 3)
+                    owner = unopened.pop()
+                    pool.open(rank, owner, lives)
+                    slots.append([rank, owner, lives])
+                else:
+                    bound = rng.randint(-2, ranks + 70)
+                    best = _naive_take(slots, bound)
+                    assert pool.take_best(bound) == (None if best is None else best[1])
+            assert pool.ranks() == sorted(r for r, _, lives in slots for _ in range(lives))

@@ -1,11 +1,13 @@
 import csv
 import math
+import random
 
 import pytest
 
 from heapchains import (
     MODE_SEQUENCE,
     MODE_SORTED_SET,
+    Interval,
     SimConfig,
     SimStats,
     chain_signatures,
@@ -19,6 +21,7 @@ from heapchains import (
     trial_rng,
     write_trials_csv,
 )
+from heapchains.simulate import _chain_count
 
 
 class TestRandomInterval:
@@ -72,6 +75,21 @@ class TestRunProcess:
             stats = estimate_scaling(config)
             items = sample_intervals(trial_rng(seed, 0), 90)
             assert stats.counts[0] == greedy_partition_set(items, k)[0]
+
+
+class TestTiedEndpoints:
+    def test_grid_pairs_match_greedy(self):
+        # Uniform draws never tie; endpoints on a 1/16 grid tie often, so
+        # equal floats must share a rank here.
+        rng = random.Random(50)
+        for _ in range(150):
+            draws = [rng.randint(0, 16) / 16 for _ in range(2 * rng.randint(0, 40))]
+            pairs = [tuple(sorted(draws[i : i + 2])) for i in range(0, len(draws), 2)]
+            set_pairs = sorted(pairs, key=lambda p: (p[1], p[0]))
+            items = [Interval(a, b) for a, b in pairs]
+            for k in (1, 2, 3):
+                assert _chain_count(pairs, k) == greedy_partition_sequence(items, k)[0]
+                assert _chain_count(set_pairs, k) == greedy_partition_set(items, k)[0]
 
 
 class TestEstimateScaling:
