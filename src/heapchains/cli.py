@@ -5,7 +5,9 @@ size) as the last line of standard output, so scripts can consume results
 without JSON parsing.  Witness forests and simulation CSVs are written only
 when the corresponding flags ask for them.
 
-Exit codes: 0 success, 1 usage error, 2 input error.
+Exit codes: 0 success, 1 usage error, 2 input error.  Only the exception
+types in ``_INPUT_ERRORS`` count as input errors; any other exception is a
+bug and propagates with its traceback.
 """
 
 from __future__ import annotations
@@ -61,15 +63,21 @@ _INPUT_ERRORS = (
     IdOutOfRange,
     NotAPermutation,
     TooLarge,
-    ValueError,
 )
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _int_at_least(low: int):
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    return integer
+
+
+_positive_int = _int_at_least(1)
+_nonnegative_int = _int_at_least(0)
 
 
 def _print_trace(trace) -> None:
@@ -255,9 +263,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add("simulate", _cmd_simulate, "Monte-Carlo scaling estimate on random intervals")
     p.add_argument("--k", type=_positive_int, required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_nonnegative_int, required=True)
     p.add_argument("--trials", type=_positive_int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_nonnegative_int, default=0)
     p.add_argument("--mode", choices=[MODE_SEQUENCE, MODE_SORTED_SET], default=MODE_SEQUENCE)
     p.add_argument("--csv", help="write per-trial rows to this CSV file")
 
@@ -269,7 +277,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add("crosscheck", _cmd_crosscheck, "run the built-in solver identities")
     p.add_argument("--trials", type=_positive_int, default=50)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_nonnegative_int, default=0)
 
     return parser
 

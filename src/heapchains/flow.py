@@ -8,9 +8,10 @@ parentless, and those are the chain roots of an optimal partition.
 
 The matching is a max flow on the network
 ``source -(k)-> minus -(1)-> plus -(1)-> sink``, found by augmenting paths
-on the successor bitmasks: a greedy start, then one breadth-first search per
-augmentation from every minus node with spare capacity, each step taking a
-row's unseen plus nodes in one mask operation.  A search that reaches no
+on the poset's own successor bitmasks, which the split graph shares: a
+greedy start, then one breadth-first search per augmentation from every
+minus node with spare capacity, each step taking a row's unseen plus nodes
+in one mask operation.  A search that reaches no
 free plus node proves the matching maximum (max-flow/min-cut).  Ascending
 ids everywhere keep the result deterministic.
 """
@@ -30,13 +31,19 @@ class InvalidMatching(ValueError):
 class SplitGraph:
     """Bipartite split graph of a poset, capacities folded into the nodes.
 
-    ``adj[x]`` lists the plus-side elements y with x strictly below y.
-    Every minus node has capacity k, every plus node capacity 1.
+    ``succ`` holds the poset's successor masks themselves, not a copy: bit y
+    of ``succ[x]`` is the edge x-minus to y-plus.  Every minus node has
+    capacity k, every plus node capacity 1.
     """
 
     n: int
     k: int
-    adj: tuple[tuple[int, ...], ...]
+    succ: tuple[int, ...]
+
+    @property
+    def adj(self) -> tuple[tuple[int, ...], ...]:
+        """Plus-side elements of each minus node, ascending (derived from ``succ``)."""
+        return tuple(tuple(y for y in range(self.n) if (mask >> y) & 1) for mask in self.succ)
 
     @property
     def left_capacity(self) -> int:
@@ -47,7 +54,7 @@ class SplitGraph:
         return 1
 
     def edge_count(self) -> int:
-        return sum(len(row) for row in self.adj)
+        return sum(mask.bit_count() for mask in self.succ)
 
 
 @dataclass(frozen=True)
@@ -62,8 +69,9 @@ class LeftKMatching:
 
 
 def build_split_graph(poset: Poset, k: int) -> SplitGraph:
+    """Split graph sharing the poset's successor masks; nothing is copied."""
     _check_arity(k)
-    return SplitGraph(poset.n, k, tuple(tuple(poset.successors(x)) for x in range(poset.n)))
+    return SplitGraph(poset.n, k, poset.successor_masks)
 
 
 def max_left_k_matching(graph: SplitGraph) -> LeftKMatching:
@@ -73,7 +81,7 @@ def max_left_k_matching(graph: SplitGraph) -> LeftKMatching:
     augmentation until a search finds no free plus node.
     """
     n, k = graph.n, graph.k
-    succ = [sum(1 << y for y in row) for row in graph.adj]
+    succ = graph.succ
     mate = [-1] * n  # left owner of each plus node
     load = [0] * n  # children of each left node
     free = (1 << n) - 1  # plus nodes without a parent

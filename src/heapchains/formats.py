@@ -10,7 +10,16 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .poset import Box, Coord, HeapForest, Interval, Poset, poset_from_relations
+from .poset import (
+    Box,
+    Coord,
+    CycleError,
+    HeapForest,
+    IdOutOfRange,
+    Interval,
+    Poset,
+    poset_from_relations,
+)
 
 
 class InputFormatError(ValueError):
@@ -85,18 +94,26 @@ def load_permutation(path) -> list[int]:
 
 
 def load_poset_json(path) -> Poset:
-    """{"n": int, "relations": [[i, j], ...]}; transitive closure applied on load."""
+    """{"n": int, "relations": [[i, j], ...]}; transitive closure applied on load.
+
+    ``n`` and the ids must be JSON integers.  Shape and type errors raise
+    InputFormatError; CycleError and IdOutOfRange keep their types.  The
+    pairs go to ``poset_from_relations`` as parsed, which checks them in the
+    same pass that builds the masks.
+    """
     with open(path) as handle:
         try:
             data = json.load(handle)
         except json.JSONDecodeError as exc:
             raise InputFormatError(f"{path}: invalid JSON: {exc}") from exc
     try:
-        n = int(data["n"])
-        relations = [(int(i), int(j)) for i, j in data["relations"]]
+        return poset_from_relations(data["n"], data["relations"])
+    except (CycleError, IdOutOfRange):
+        raise
     except (KeyError, TypeError, ValueError) as exc:
-        raise InputFormatError(f"{path}: expected {{'n': int, 'relations': [[i, j], ...]}}") from exc
-    return poset_from_relations(n, relations)
+        raise InputFormatError(
+            f"{path}: expected {{'n': int, 'relations': [[i, j], ...]}}: {exc}"
+        ) from exc
 
 
 def save_poset_json(path, poset: Poset) -> None:
@@ -131,7 +148,7 @@ def load_forest_json(path) -> HeapForest:
         parent: dict[int, int | None] = {int(root): None for root in data["roots"]}
         children = {int(child): int(par) for child, par in data["parent"].items()}
         k = int(data["k"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise InputFormatError(f"{path}: malformed forest JSON") from exc
     both = sorted(parent.keys() & children.keys())
     if both:

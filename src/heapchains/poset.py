@@ -10,6 +10,7 @@ types.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Union
@@ -83,6 +84,11 @@ class Poset:
         self.n = n
         self._succ = tuple(succ_masks)
 
+    @property
+    def successor_masks(self) -> tuple[int, ...]:
+        """Bit y of entry x is set iff x strictly precedes y; the stored tuple, not a copy."""
+        return self._succ
+
     def less(self, x: int, y: int) -> bool:
         """True iff x strictly precedes y."""
         return (self._succ[x] >> y) & 1 == 1
@@ -123,53 +129,82 @@ def _check_arity(k: int) -> None:
         raise ValueError(f"arity must be an integer >= 1, got {k!r}")
 
 
+def _element_id(value) -> int:
+    """An int from anything with ``__index__`` (numpy ints too); floats, strings
+    and bools raise TypeError instead of being truncated or coerced."""
+    if isinstance(value, bool):
+        raise TypeError(f"element ids must be integers, got {value!r}")
+    return operator.index(value)
+
+
 def poset_from_relations(n: int, pairs: Iterable[tuple[int, int]]) -> Poset:
     """Transitive closure of the given (smaller, larger) pairs.
 
-    Raises CycleError if the closure would relate any element to itself,
-    IdOutOfRange for ids outside 0..n-1.
+    ``n`` and the ids must be integers (``operator.index``; bools are not):
+    anything else raises TypeError.  Raises IdOutOfRange for ids outside
+    0..n-1 (checked for every pair before any cycle) and CycleError if the
+    closure would relate any element to itself.
+
+    One pass over the pairs builds the direct successor masks.  The closure
+    is a memoized depth-first search with an explicit stack, so long chains
+    do not recurse.  Each node takes its successors lowest id first; a
+    finished successor's closure is ORed in and its bits are cleared from the
+    node's remaining successors, so a relation that an earlier successor
+    already implies is never visited.  An input that is already closed thus
+    costs about its transitive reduction, not all its relations.  A successor
+    still on the stack closes a cycle.
     """
+    if n.__class__ is not int:
+        n = _element_id(n)
+    if n < 0:
+        raise ValueError(f"element count must be >= 0, got {n}")
     direct = [0] * n
     for x, y in pairs:
+        if x.__class__ is not int:
+            x = _element_id(x)
+        if y.__class__ is not int:
+            y = _element_id(y)
         if not (0 <= x < n and 0 <= y < n):
             raise IdOutOfRange(f"relation ({x}, {y}) outside 0..{n - 1}")
         if x == y:
             raise CycleError(f"element {x} related to itself")
         direct[x] |= 1 << y
 
-    # Kahn topological order over the direct edges; a leftover node means a cycle.
-    indegree = [0] * n
-    for x in range(n):
-        mask = direct[x]
-        while mask:
-            low = mask & -mask
-            indegree[low.bit_length() - 1] += 1
-            mask ^= low
-    queue = [x for x in range(n) if indegree[x] == 0]
-    order = []
-    while queue:
-        x = queue.pop()
-        order.append(x)
-        mask = direct[x]
-        while mask:
-            low = mask & -mask
-            y = low.bit_length() - 1
-            indegree[y] -= 1
-            if indegree[y] == 0:
-                queue.append(y)
-            mask ^= low
-    if len(order) != n:
-        raise CycleError("relations contain a cycle")
-
     closed = [0] * n
-    for x in reversed(order):
-        mask = direct[x]
-        acc = mask
-        while mask:
-            low = mask & -mask
-            acc |= closed[low.bit_length() - 1]
-            mask ^= low
-        closed[x] = acc
+    state = bytearray(n)  # 0 unvisited, 1 on the stack, 2 finished
+    for root in range(n):
+        if state[root]:
+            continue
+        state[root] = 1
+        # The frame being expanded lives in locals (node, closure so far,
+        # successors not yet taken); its ancestors wait on the stack.
+        x = root
+        acc = rest = direct[root]
+        stack = []
+        while True:
+            while rest:
+                low = rest & -rest
+                y = low.bit_length() - 1
+                seen = state[y]
+                if seen == 2:
+                    covered = closed[y]
+                    acc |= covered
+                    rest &= ~(covered | low)
+                elif seen == 1:
+                    raise CycleError(f"relations contain a cycle through element {y}")
+                else:
+                    stack.append((x, acc, rest ^ low))
+                    state[y] = 1
+                    x = y
+                    acc = rest = direct[y]
+            closed[x] = acc
+            state[x] = 2
+            if not stack:
+                break
+            covered = acc
+            x, acc, rest = stack.pop()
+            acc |= covered
+            rest &= ~covered
     return Poset(n, closed)
 
 

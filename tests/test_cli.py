@@ -7,9 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from heapchains import formats, verify_forest
+from heapchains import cli, formats, verify_forest
 from heapchains.cli import run
-from heapchains.poset import HeapForest, Interval, poset_from_relations
+from heapchains.poset import CycleError, HeapForest, IdOutOfRange, Interval, poset_from_relations
 
 from conftest import S1_PAIRS
 
@@ -92,6 +92,37 @@ class TestFormats:
         with pytest.raises(formats.InputFormatError):
             formats.load_poset_json(path)
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"n": 3, "relations": [[0, 1.5]]}',
+            '{"n": 3.7, "relations": []}',
+            '{"n": 3, "relations": [["0", 1]]}',
+            '{"n": 3, "relations": [[true, 2]]}',
+            '{"n": "3", "relations": []}',
+            '{"n": -1, "relations": []}',
+            '{"n": 3, "relations": [[0, 1, 2]]}',
+            '{"n": 3, "relations": [0, 1]}',
+            '{"n": 3, "relations": 5}',
+            '{"n": 3}',
+            "[3, []]",
+        ],
+    )
+    def test_poset_json_bad_shape_or_type(self, tmp_path, text):
+        path = tmp_path / "p.json"
+        path.write_text(text)
+        with pytest.raises(formats.InputFormatError):
+            formats.load_poset_json(path)
+
+    def test_poset_json_relation_errors_keep_types(self, tmp_path):
+        path = tmp_path / "p.json"
+        path.write_text('{"n": 3, "relations": [[0, 1], [1, 2], [2, 0]]}')
+        with pytest.raises(CycleError):
+            formats.load_poset_json(path)
+        path.write_text('{"n": 3, "relations": [[0, 3]]}')
+        with pytest.raises(IdOutOfRange):
+            formats.load_poset_json(path)
+
     def test_poset_json_roundtrip(self, tmp_path):
         poset = poset_from_relations(4, [(0, 1), (1, 3)])
         path = tmp_path / "p.json"
@@ -112,6 +143,12 @@ class TestFormats:
         path = tmp_path / "f.json"
         path.write_text('{"k": 2, "roots": [0, 1], "parent": {"1": 0, "2": 0}}')
         with pytest.raises(formats.InputFormatError, match="node 1 is listed as a root"):
+            formats.load_forest_json(path)
+
+    def test_forest_parent_list_rejected(self, tmp_path):
+        path = tmp_path / "f.json"
+        path.write_text('{"k": 2, "roots": [0], "parent": [[1, 0]]}')
+        with pytest.raises(formats.InputFormatError, match="malformed forest JSON"):
             formats.load_forest_json(path)
 
     def test_forest_roundtrip(self, tmp_path):
@@ -249,6 +286,29 @@ class TestCliErrors:
         path = tmp_path / "p.json"
         path.write_text(json.dumps({"n": 2, "relations": [[0, 1], [1, 0]]}))
         assert run(["kwidth", "--k", "1", "--poset", str(path)]) == 2
+
+    def test_negative_simulate_n_or_seed_is_usage_error(self, capsys):
+        assert run(["simulate", "--k", "2", "--n", "-1", "--trials", "1"]) == 1
+        assert run(["simulate", "--k", "2", "--n", "5", "--trials", "1", "--seed", "-1"]) == 1
+        assert run(["crosscheck", "--trials", "1", "--seed", "-1"]) == 1
+        assert "must be >= 0" in capsys.readouterr().err
+
+    def test_poset_json_type_error_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps({"n": 3, "relations": [[0, 1.5]]}))
+        assert run(["kwidth", "--k", "1", "--poset", str(path)]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_internal_value_error_not_reported_as_input_error(self, capsys, monkeypatch, tmp_path):
+        def broken(poset, k):
+            raise ValueError("solver bug")
+
+        monkeypatch.setattr(cli, "k_width", broken)
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps({"n": 2, "relations": [[0, 1]]}))
+        with pytest.raises(ValueError, match="solver bug"):
+            run(["kwidth", "--k", "1", "--poset", str(path)])
+        assert "error:" not in capsys.readouterr().err
 
     def test_oracle_too_large_exit_2(self, capsys, tmp_path):
         path = tmp_path / "p.json"

@@ -48,6 +48,15 @@ class TestSplitGraph:
         )
         assert build_split_graph(p, 2).edge_count() == want
 
+    def test_holds_poset_masks_uncopied(self):
+        rng = random.Random(3)
+        for _ in range(30):
+            p = random_poset(rng, max_n=60)
+            g = build_split_graph(p, rng.randint(1, 3))
+            assert g.succ is p.successor_masks
+            assert g.edge_count() == p.relation_count()
+            assert g.adj == tuple(tuple(p.successors(x)) for x in range(p.n))
+
 
 class TestMatching:
     def test_chain_k1(self):

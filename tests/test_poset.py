@@ -1,3 +1,4 @@
+import bisect
 import math
 import random
 from fractions import Fraction
@@ -71,6 +72,145 @@ class TestFromRelations:
                 for z in range(n):
                     if p.less(x, y) and p.less(y, z):
                         assert p.less(x, z)
+
+
+def _kahn_closure(n, pairs):
+    """Reference closure: Kahn's topological order over the direct edges, then
+    one OR pass in reverse order.  Returns the closed successor masks, or the
+    type of the exception ``poset_from_relations`` must raise."""
+    direct = [0] * n
+    for x, y in pairs:
+        if not (0 <= x < n and 0 <= y < n):
+            return IdOutOfRange
+        if x == y:
+            return CycleError
+        direct[x] |= 1 << y
+    indegree = [0] * n
+    for x in range(n):
+        for y in range(n):
+            if (direct[x] >> y) & 1:
+                indegree[y] += 1
+    queue = [x for x in range(n) if indegree[x] == 0]
+    order = []
+    while queue:
+        x = queue.pop()
+        order.append(x)
+        for y in range(n):
+            if (direct[x] >> y) & 1:
+                indegree[y] -= 1
+                if indegree[y] == 0:
+                    queue.append(y)
+    if len(order) != n:
+        return CycleError
+    closed = [0] * n
+    for x in reversed(order):
+        acc = direct[x]
+        for y in range(n):
+            if (direct[x] >> y) & 1:
+                acc |= closed[y]
+        closed[x] = acc
+    return tuple(closed)
+
+
+def _closure_outcome(n, pairs):
+    try:
+        return poset_from_relations(n, pairs).successor_masks
+    except (CycleError, IdOutOfRange) as exc:
+        return type(exc)
+
+
+def _random_relation_list(rng):
+    """Pairs of a random DAG on shuffled ids: unclosed or closed, sometimes
+    with a back edge (cycle), a self-pair or an out-of-range id."""
+    n = rng.randint(0, 40)
+    density = rng.choice([0.05, 0.15, 0.4, 0.8])
+    label = list(range(n))
+    rng.shuffle(label)
+    pairs = [
+        (label[i], label[j]) for i in range(n) for j in range(i + 1, n) if rng.random() < density
+    ]
+    if pairs and rng.random() < 0.4:
+        pairs = list(poset_from_relations(n, pairs).pairs())
+    rng.shuffle(pairs)
+    fault = rng.random()
+    if n and fault < 0.15 and pairs:
+        x, y = rng.choice(pairs)
+        pairs.append((y, x))
+    elif n >= 3 and fault < 0.25:
+        a, b, c = rng.sample(range(n), 3)
+        pairs += [(a, b), (b, c), (c, a)]
+    elif n and fault < 0.3:
+        x = rng.randrange(n)
+        pairs.insert(rng.randint(0, len(pairs)), (x, x))
+    elif n and fault < 0.35:
+        bad = (rng.randrange(n), n + rng.randrange(3))
+        pairs.insert(rng.randint(0, len(pairs)), bad if rng.random() < 0.5 else bad[::-1])
+    elif fault < 0.4:
+        pairs.insert(rng.randint(0, len(pairs)), (-1, rng.randrange(max(n, 1))))
+    return n, pairs
+
+
+class TestClosureAgainstReference:
+    def test_random_relation_lists(self):
+        rng = random.Random(31)
+        raised = 0
+        for _ in range(1500):
+            n, pairs = _random_relation_list(rng)
+            want = _kahn_closure(n, pairs)
+            assert _closure_outcome(n, pairs) == want, (n, pairs)
+            raised += isinstance(want, type)
+        assert 200 < raised < 1000  # both outcomes well represented
+
+    def test_long_chain_does_not_recurse(self):
+        n = 5000
+        pairs = [(i, i + 1) for i in range(n - 1)]
+        random.Random(32).shuffle(pairs)
+        p = poset_from_relations(n, pairs)
+        assert p.relation_count() == n * (n - 1) // 2
+        assert p.successor_masks[0] == (1 << n) - 2
+        with pytest.raises(CycleError):
+            poset_from_relations(n, pairs + [(n - 1, 0)])
+
+    def test_closed_interval_order(self):
+        # An interval order is transitive, so its relation list is already
+        # closed and the closure must return exactly the direct masks.
+        rng = random.Random(33)
+        n = 2000
+        ends = [sorted((rng.randint(0, 3 * n), rng.randint(0, 3 * n))) for _ in range(n)]
+        by_left = sorted(range(n), key=lambda j: ends[j][0])
+        lefts = [ends[j][0] for j in by_left]
+        masks, pairs = [], []
+        for i in range(n):
+            above = by_left[bisect.bisect_right(lefts, ends[i][1]):]
+            masks.append(sum(1 << j for j in above))
+            pairs += [(i, j) for j in above]
+        rng.shuffle(pairs)
+        assert poset_from_relations(n, pairs).successor_masks == tuple(masks)
+
+
+class TestRelationIds:
+    def test_numpy_ints_accepted(self):
+        np = pytest.importorskip("numpy")
+        p = poset_from_relations(np.int64(100), [(0, np.int64(70)), (np.int32(70), 99)])
+        assert p.n == 100 and p.less(0, 70) and p.less(0, 99)
+        assert p.relation_count() == 3
+        assert all(mask.__class__ is int for mask in p.successor_masks)
+
+    @pytest.mark.parametrize("bad", [1.5, 1.0, "1", True, None])
+    def test_non_integer_ids_rejected(self, bad):
+        with pytest.raises(TypeError):
+            poset_from_relations(3, [(0, bad)])
+        with pytest.raises(TypeError):
+            poset_from_relations(3, [(bad, 2)])
+
+    @pytest.mark.parametrize("bad", [3.7, 3.0, "3", True])
+    def test_non_integer_size_rejected(self, bad):
+        with pytest.raises(TypeError):
+            poset_from_relations(bad, [])
+
+    def test_negative_size_rejected(self):
+        with pytest.raises(ValueError):
+            poset_from_relations(-1, [])
 
 
 class TestFromPermutation:
