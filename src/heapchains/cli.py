@@ -39,10 +39,8 @@ from .poset import (
     IdOutOfRange,
     Interval,
     NotAPermutation,
-    poset_from_box_set,
     poset_from_interval_sequence,
     poset_from_interval_set,
-    poset_from_permutation,
 )
 from .simulate import (
     MODE_SEQUENCE,

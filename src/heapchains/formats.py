@@ -18,6 +18,8 @@ from .poset import (
     IdOutOfRange,
     Interval,
     Poset,
+    _check_arity,
+    _element_id,
     poset_from_relations,
 )
 
@@ -136,18 +138,21 @@ def save_forest_json(path, forest: HeapForest) -> None:
 
 
 def load_forest_json(path) -> HeapForest:
-    """Inverse of save_forest_json.  Checks the shape of the file and that no
-    node is listed both as a root and as a child; whether the forest is a
-    valid partition of some poset is left to ``verify_forest``."""
+    """Inverse of save_forest_json.  Checks the shape of the file, that ids
+    and k are integers with k >= 1, and that no node is listed both as a root
+    and as a child; whether the forest is a valid partition of some poset is
+    left to ``verify_forest``."""
     with open(path) as handle:
         try:
             data = json.load(handle)
         except json.JSONDecodeError as exc:
             raise InputFormatError(f"{path}: invalid JSON: {exc}") from exc
     try:
-        parent: dict[int, int | None] = {int(root): None for root in data["roots"]}
-        children = {int(child): int(par) for child, par in data["parent"].items()}
-        k = int(data["k"])
+        parent: dict[int, int | None] = {_element_id(root): None for root in data["roots"]}
+        # Object keys are always strings in JSON, so child ids go through int().
+        children = {int(child): _element_id(par) for child, par in data["parent"].items()}
+        k = _element_id(data["k"])
+        _check_arity(k)
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise InputFormatError(f"{path}: malformed forest JSON") from exc
     both = sorted(parent.keys() & children.keys())

@@ -24,14 +24,12 @@ use the same pool.
 
 from __future__ import annotations
 
-import math
-import numbers
 from bisect import bisect_right, insort
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Iterable, Optional, Sequence
 
-from .poset import Coord, HeapForest, Interval, NotAPermutation, _check_arity
+from .poset import Coord, HeapForest, Interval, _check_arity, _check_permutation, _interval_ranks
 
 NEW_CHAIN = "new_chain"
 ATTACHED = "attached"
@@ -99,35 +97,6 @@ def insert_interval(
     for _ in range(k):
         insort(values, item.right)
     return tuple(values), consumed
-
-
-def _dense_ranks(values: Sequence[Coord]) -> list[int]:
-    """Order-isomorphic ranks: equal values share a rank, and
-    rank(a) <= rank(b) iff a <= b.
-
-    Exact for any mix of int, Fraction and finite float: each value p/q is
-    scaled to the integer p * (L // q), where L is the lcm of the
-    denominators, so values are only ever compared as ints.
-    """
-    try:
-        ratios = [v.as_integer_ratio() for v in values]
-    except AttributeError:  # numpy integers are Rational but lack the method
-        ratios = [
-            (int(v.numerator), int(v.denominator))
-            if isinstance(v, numbers.Rational)
-            else v.as_integer_ratio()
-            for v in values
-        ]
-    lcm = math.lcm(*{q for _, q in ratios})
-    keys = [p * (lcm // q) for p, q in ratios]
-    rank = {key: r for r, key in enumerate(sorted(set(keys)))}
-    return [rank[key] for key in keys]
-
-
-def _interval_ranks(items: Sequence[Interval]) -> tuple[list[int], list[int]]:
-    """Left and right endpoint ranks, ranked together."""
-    ranks = _dense_ranks([item.left for item in items] + [item.right for item in items])
-    return ranks[: len(items)], ranks[len(items) :]
 
 
 def _set_order(lefts: Sequence[int], rights: Sequence[int]) -> list[int]:
@@ -268,9 +237,7 @@ def greedy_partition_permutation(perm: Sequence[int], k: int) -> tuple[int, Heap
     smaller earlier value.
     """
     _check_arity(k)
-    seq = list(perm)
-    if sorted(seq) != list(range(len(seq))):
-        raise NotAPermutation(f"not a bijection on 0..{len(seq) - 1}: {seq!r}")
+    seq = _check_permutation(perm)
     # The values are their own ranks, and each value owns its own slots.
     pool = _SlotPool(len(seq), len(seq))
     parent: dict[int, Optional[int]] = {}

@@ -14,8 +14,8 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from .greedy import _dense_ranks, _SlotPool
-from .poset import Box, HeapForest, _check_arity
+from .greedy import _SlotPool
+from .poset import Box, HeapForest, _check_arity, _dense_ranks
 
 _UPPER = 0  # at equal x, upper corners are swept before lower corners
 _LOWER = 1

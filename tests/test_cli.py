@@ -151,6 +151,19 @@ class TestFormats:
         with pytest.raises(formats.InputFormatError, match="malformed forest JSON"):
             formats.load_forest_json(path)
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"k": 2.7, "roots": [true, "3"], "parent": {"2": 0.9}}',
+            '{"k": 0, "roots": [0], "parent": {}}',
+        ],
+    )
+    def test_forest_non_integer_ids_and_bad_k_rejected(self, tmp_path, text):
+        path = tmp_path / "f.json"
+        path.write_text(text)
+        with pytest.raises(formats.InputFormatError):
+            formats.load_forest_json(path)
+
     def test_forest_roundtrip(self, tmp_path):
         from heapchains import greedy_partition_sequence
 

@@ -6,18 +6,24 @@ from heapchains import (
     InvalidMatching,
     LeftKMatching,
     build_split_graph,
+    greedy_partition_permutation,
     greedy_partition_sequence,
+    greedy_partition_set,
     k_width,
     matching_to_partition,
     max_left_k_matching,
     oracle_k_width,
     oracle_width_antichain,
+    poset_from_box_set,
     poset_from_interval_sequence,
+    poset_from_interval_set,
+    poset_from_permutation,
     poset_from_relations,
+    sweep_partition,
     verify_forest,
 )
 
-from conftest import random_intervals, random_poset
+from conftest import random_boxes_distinct, random_intervals, random_poset
 
 
 def chain(n):
@@ -206,11 +212,31 @@ class TestKWidth:
             counts = [k_width(p, k)[0] for k in (1, 2, 3, 4)]
             assert all(a >= b for a, b in zip(counts, counts[1:]))
 
-    def test_greedy_sequence_matches_at_n_1000(self):
-        items = random_intervals(random.Random(1000), 1000)
-        count, forest = k_width(poset_from_interval_sequence(items), 2)
-        assert count == greedy_partition_sequence(items, 2)[0]
-        assert len(forest.roots) == count
+    @pytest.mark.parametrize("variant", ["sequence", "set", "permutation", "sweep"])
+    def test_fast_solver_matches_at_n_1500(self, variant):
+        rng = random.Random(1500)
+        n, k = 1500, 2
+        if variant == "sequence":
+            items = random_intervals(rng, n)
+            poset = poset_from_interval_sequence(items)
+            count, forest = greedy_partition_sequence(items, k)[:2]
+        elif variant == "set":
+            items = random_intervals(rng, n)
+            poset = poset_from_interval_set(items)
+            count, forest = greedy_partition_set(items, k)[:2]
+        elif variant == "permutation":
+            perm = rng.sample(range(n), n)
+            poset = poset_from_permutation(perm)
+            count, forest = greedy_partition_permutation(perm, k)
+        else:
+            boxes = random_boxes_distinct(rng, n)
+            poset = poset_from_box_set(boxes)
+            count, forest = sweep_partition(boxes, k)
+        flow_count, flow_forest = k_width(poset, k)
+        assert count == flow_count
+        assert len(forest.roots) == len(flow_forest.roots) == count
+        assert verify_forest(poset, forest, k)
+        assert verify_forest(poset, flow_forest, k)
 
     def test_count_n_iff_antichain(self):
         rng = random.Random(24)

@@ -33,7 +33,8 @@ from heapchains import (
     sweep_partition,
     verify_forest,
 )
-from heapchains.greedy import _dense_ranks, _SlotPool
+from heapchains.greedy import _SlotPool
+from heapchains.poset import _dense_ranks
 
 from conftest import (
     dominated_pair,

@@ -188,6 +188,166 @@ class TestClosureAgainstReference:
         assert poset_from_relations(n, pairs).successor_masks == tuple(masks)
 
 
+# The pairwise builders the dominance kernel replaced, kept as its
+# reference.  Each returns the successor masks, or the type of the
+# exception the real builder must raise.
+def _pairwise_dominance(n, dominates):
+    masks = [0] * n
+    for i in range(n):
+        for j in range(n):
+            if i != j and dominates(i, j):
+                masks[i] |= 1 << j
+    for i in range(n):
+        for j in range(i + 1, n):
+            if (masks[i] >> j) & 1 and (masks[j] >> i) & 1:
+                return CycleError
+    return tuple(masks)
+
+
+def _pairwise_interval_set(items):
+    return _pairwise_dominance(len(items), lambda i, j: items[i].right <= items[j].left)
+
+
+def _pairwise_interval_sequence(items):
+    n = len(items)
+    masks = [0] * n
+    for i in range(n):
+        for j in range(i + 1, n):
+            if items[i].right <= items[j].left:
+                masks[i] |= 1 << j
+    return tuple(masks)
+
+
+def _pairwise_box_set(items):
+    def dom(i, j):
+        return (
+            items[i].upper[0] <= items[j].lower[0]
+            and items[i].upper[1] <= items[j].lower[1]
+        )
+
+    return _pairwise_dominance(len(items), dom)
+
+
+def _pairwise_permutation(perm):
+    seq = list(perm)
+    n = len(seq)
+    if sorted(seq) != list(range(n)):
+        return NotAPermutation
+    position = [0] * n
+    for idx, value in enumerate(seq):
+        position[value] = idx
+    masks = [0] * n
+    for a in range(n):
+        for b in range(a + 1, n):
+            if position[a] < position[b]:
+                masks[a] |= 1 << b
+    return tuple(masks)
+
+
+def _builder_outcome(build, arg):
+    try:
+        return build(arg).successor_masks
+    except (CycleError, NotAPermutation) as exc:
+        return type(exc)
+
+
+def _random_coord(rng, hi):
+    """A value on a coarse grid, so ties are common, as an int, a Fraction or
+    a float; the same value often comes in two types, and thirds make floats
+    that are close to but not equal to Fractions."""
+    halves = rng.randint(0, 2 * hi)
+    kind = rng.random()
+    if kind < 0.35:
+        return halves // 2 if halves % 2 == 0 else Fraction(halves, 2)
+    if kind < 0.6:
+        return Fraction(halves, 2)
+    if kind < 0.85:
+        return halves / 2
+    thirds = rng.randint(0, 3 * hi)
+    return Fraction(thirds, 3) if rng.random() < 0.5 else thirds / 3
+
+
+def _random_span(rng, hi, points, coord):
+    """Ordered endpoints; sometimes a degenerate one, often repeated from
+    ``points`` so that identical degenerate items occur."""
+    if points and rng.random() < 0.2:
+        p = rng.choice(points)
+        return p, p
+    a, b = sorted((coord(rng, hi), coord(rng, hi)))
+    if rng.random() < 0.1:
+        points.append(a)
+        return a, a
+    return a, b
+
+
+def _random_builder_inputs(rng, n, coord=_random_coord):
+    """(intervals, boxes, permutation) of n items each."""
+    hi = rng.choice([2, 5, max(n, 1)])
+    points, xs, ys = [], [], []
+    intervals = [Interval(*_random_span(rng, hi, points, coord)) for _ in range(n)]
+    boxes = []
+    for _ in range(n):
+        x1, x2 = _random_span(rng, hi, xs, coord)
+        y1, y2 = _random_span(rng, hi, ys, coord)
+        boxes.append(Box((x1, y1), (x2, y2)))
+    perm = list(range(n))
+    rng.shuffle(perm)
+    fault = rng.random()
+    if n and fault < 0.1:
+        perm[rng.randrange(n)] = perm[rng.randrange(n)]
+    elif n and fault < 0.15:
+        perm[rng.randrange(n)] = n + rng.randrange(2)
+    elif fault < 0.2:
+        perm.append(-1)
+    return intervals, boxes, perm
+
+
+_BUILDERS = [
+    (poset_from_interval_set, _pairwise_interval_set, 0),
+    (poset_from_interval_sequence, _pairwise_interval_sequence, 0),
+    (poset_from_box_set, _pairwise_box_set, 1),
+    (poset_from_permutation, _pairwise_permutation, 2),
+]
+
+
+class TestBuildersAgainstPairwiseReference:
+    def test_random_small_inputs(self):
+        rng = random.Random(41)
+        raised = {CycleError: 0, NotAPermutation: 0}
+        for _ in range(600):
+            inputs = _random_builder_inputs(rng, rng.randint(0, 30))
+            for build, reference, slot in _BUILDERS:
+                want = reference(inputs[slot])
+                assert _builder_outcome(build, inputs[slot]) == want, (build, inputs[slot])
+                if isinstance(want, type):
+                    raised[want] += 1
+        assert all(count > 50 for count in raised.values()), raised
+
+    def test_rows_across_the_block_boundary(self):
+        rng = random.Random(42)
+        for n in (1030, 1100):
+            # Int coordinates keep the pairwise reference fast at this size.
+            intervals, boxes, _ = _random_builder_inputs(rng, n, lambda r, hi: r.randint(0, hi))
+            # Only distinct degenerate items, so the masks are compared
+            # rather than a CycleError: widen the drawn ones, then put
+            # three distinct points on both sides of row 1,024.
+            intervals = [
+                Interval(iv.left, iv.left + 1) if iv.left == iv.right else iv for iv in intervals
+            ]
+            boxes = [
+                Box(b.lower, (b.upper[0] + 1, b.upper[1])) if b.lower == b.upper else b
+                for b in boxes
+            ]
+            for i, at in enumerate((5, 1026, n)):
+                intervals.insert(at, Interval(Fraction(2 * i + 1, 7), Fraction(2 * i + 1, 7)))
+                boxes.insert(at, Box((i, 2 - i), (i, 2 - i)))
+            inputs = (intervals, boxes, rng.sample(range(n), n))
+            for build, reference, slot in _BUILDERS:
+                want = reference(inputs[slot])
+                assert not isinstance(want, type)
+                assert _builder_outcome(build, inputs[slot]) == want, build
+
+
 class TestRelationIds:
     def test_numpy_ints_accepted(self):
         np = pytest.importorskip("numpy")
