@@ -21,7 +21,7 @@ from .flow import k_width
 from .greedy import (
     ATTACHED,
     NEW_CHAIN,
-    TraceStep,
+    best_fit_trace,
     greedy_max_heapable_subset,
     greedy_partition_permutation,
     greedy_partition_sequence,
@@ -126,14 +126,7 @@ def _cmd_max_heapable(args) -> int:
 def _cmd_permutation(args) -> int:
     perm = formats.load_permutation(args.input)
     count, forest = greedy_partition_permutation(perm, args.k)
-    trace = None
-    if args.trace:
-        trace = tuple(
-            TraceStep(value, NEW_CHAIN)
-            if forest.parent[value] is None
-            else TraceStep(value, ATTACHED, parent=forest.parent[value], slot=forest.parent[value])
-            for value in perm
-        )
+    trace = best_fit_trace(forest, perm, range(len(perm))) if args.trace else None
     return _emit(count, forest, trace, args)
 
 

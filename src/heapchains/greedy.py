@@ -16,10 +16,11 @@ sorted tuples.
 The partition algorithms rank all endpoints once, exactly, into
 order-isomorphic ints, and run on one counted slot pool that holds a single
 entry per slot owner together with its unused lives.  Best fit therefore
-compares only ints, and its cost does not depend on k.  Traces still report
-each consumed slot by its original coordinate.  The sweep line in
-``heapchains.sweep`` and the particle process in ``heapchains.simulate``
-use the same pool.
+compares only ints, and its cost does not depend on k.  One loop,
+``_best_fit``, serves the partitions and the particle process of
+``heapchains.simulate``; the max-heapable subset and the sweep line of
+``heapchains.sweep`` keep their own loops on the same pool.  Every trace
+comes from ``best_fit_trace``, which reports slots by original coordinate.
 """
 
 from __future__ import annotations
@@ -183,37 +184,52 @@ class _SlotPool:
         return live
 
 
-def _run_best_fit(
-    items: Sequence[Interval],
-    order: Sequence[int],
-    lefts: Sequence[int],
-    rights: Sequence[int],
-    k: int,
-) -> tuple[int, HeapForest, tuple[TraceStep, ...]]:
-    pool = _SlotPool(2 * len(items), len(items))
-    parent: dict[int, Optional[int]] = {}
-    trace = []
+def _best_fit(order, bounds, slots, k: int, ranks: int) -> tuple[int, list, _SlotPool]:
+    """Item i of ``order`` spends a life of the best slot at or below
+    ``bounds[i]``, or starts a chain, then opens k slots it owns at
+    ``slots[i]``.  Returns the new-chain count, the parent of each item (a
+    list indexed by item, None for roots) and the pool of unused slots."""
+    pool = _SlotPool(ranks, len(slots))
+    take_best, open_slots = pool.take_best, pool.open
+    parent = [None] * len(slots)
     count = 0
     for i in order:
-        owner = pool.take_best(lefts[i])
+        owner = parent[i] = take_best(bounds[i])
         if owner is None:
-            parent[i] = None
             count += 1
-            trace.append(TraceStep(i, NEW_CHAIN))
-        else:
-            parent[i] = owner
-            trace.append(TraceStep(i, ATTACHED, parent=owner, slot=items[owner].right))
-        pool.open(rights[i], i, k)
-    return count, HeapForest(k, parent), tuple(trace)
+        open_slots(slots[i], i, k)
+    return count, parent, pool
+
+
+def best_fit_trace(forest: HeapForest, order: Iterable, slots: Sequence) -> tuple[TraceStep, ...]:
+    """The greedy decisions behind a forest, in ``order``: an item missing from
+    the forest was rejected, a root started a new chain, and any other item
+    attached beneath its parent, consuming a slot valued at ``slots[parent]``."""
+    parent = forest.parent
+    return tuple(
+        TraceStep(i, REJECTED)
+        if i not in parent
+        else TraceStep(i, NEW_CHAIN)
+        if parent[i] is None
+        else TraceStep(i, ATTACHED, parent=parent[i], slot=slots[parent[i]])
+        for i in order
+    )
+
+
+def _interval_best_fit(items: Sequence[Interval], k: int, set_order: bool) -> tuple:
+    _check_arity(k)
+    lefts, rights = _interval_ranks(items)
+    order = _set_order(lefts, rights) if set_order else range(len(items))
+    count, parent, _ = _best_fit(order, lefts, rights, k, 2 * len(items))
+    forest = HeapForest(k, {i: parent[i] for i in order})
+    return count, forest, best_fit_trace(forest, order, [item.right for item in items])
 
 
 def greedy_partition_sequence(
     items: Sequence[Interval], k: int
 ) -> tuple[int, HeapForest, tuple[TraceStep, ...]]:
     """Minimum partition of an interval sequence into k-ary chains (best fit)."""
-    _check_arity(k)
-    lefts, rights = _interval_ranks(items)
-    return _run_best_fit(items, range(len(items)), lefts, rights, k)
+    return _interval_best_fit(items, k, set_order=False)
 
 
 def sorted_set_order(items: Sequence[Interval]) -> list[int]:
@@ -225,30 +241,21 @@ def greedy_partition_set(
     items: Sequence[Interval], k: int
 ) -> tuple[int, HeapForest, tuple[TraceStep, ...]]:
     """Minimum partition of an interval set: sort by the total order, then best fit."""
-    _check_arity(k)
-    lefts, rights = _interval_ranks(items)
-    return _run_best_fit(items, _set_order(lefts, rights), lefts, rights, k)
+    return _interval_best_fit(items, k, set_order=True)
 
 
 def greedy_partition_permutation(perm: Sequence[int], k: int) -> tuple[int, HeapForest]:
     """Minimum partition of a permutation into k-ary chains.
 
     Compatibility is strict here: a value may only attach beneath a strictly
-    smaller earlier value.
+    smaller earlier value.  ``best_fit_trace(forest, perm, range(len(perm)))``
+    gives the decisions.
     """
     _check_arity(k)
     seq = _check_permutation(perm)
-    # The values are their own ranks, and each value owns its own slots.
-    pool = _SlotPool(len(seq), len(seq))
-    parent: dict[int, Optional[int]] = {}
-    count = 0
-    for value in seq:
-        owner = pool.take_best(value - 1)
-        if owner is None:
-            count += 1
-        parent[value] = owner
-        pool.open(value, value, k)
-    return count, HeapForest(k, parent)
+    # The values are their own ranks and item ids; value v takes below v.
+    count, parent, _ = _best_fit(seq, range(-1, len(seq) - 1), range(len(seq)), k, len(seq))
+    return count, HeapForest(k, {value: parent[value] for value in seq})
 
 
 def greedy_max_heapable_subset(
@@ -262,36 +269,35 @@ def greedy_max_heapable_subset(
     """
     _check_arity(k)
     lefts, rights = _interval_ranks(items)
+    order = _set_order(lefts, rights)
     pool = _SlotPool(2 * len(items), len(items))
     parent: dict[int, Optional[int]] = {}
-    subset: list[int] = []
-    trace = []
-    for i in _set_order(lefts, rights):
-        if not subset:
-            parent[i] = None
-            trace.append(TraceStep(i, NEW_CHAIN))
-        else:
-            owner = pool.take_best(lefts[i])
-            if owner is None:
-                trace.append(TraceStep(i, REJECTED))
-                continue
-            parent[i] = owner
-            trace.append(TraceStep(i, ATTACHED, parent=owner, slot=items[owner].right))
-        subset.append(i)
+    for i in order:
+        owner = pool.take_best(lefts[i])
+        if owner is None and parent:
+            continue  # not _best_fit: a rejected item opens no slots
+        parent[i] = owner
         pool.open(rights[i], i, k)
-    return tuple(sorted(subset)), HeapForest(k, parent), tuple(trace)
+    forest = HeapForest(k, parent)
+    trace = best_fit_trace(forest, order, [item.right for item in items])
+    return tuple(sorted(parent)), forest, trace
 
 
 def chain_signatures(
     forest: HeapForest, items: Sequence[Interval]
 ) -> dict[int, tuple[Coord, ...]]:
     """Per-chain signatures of a forest: each node keeps k - (child count)
-    unused slots valued at its right endpoint."""
-    free = {e: forest.k for e in forest.parent}
-    for par in forest.parent.values():
+    unused slots valued at its right endpoint.  Linear: one walk per root."""
+    children: dict[int, list[int]] = {e: [] for e in forest.parent}
+    for e, par in forest.parent.items():
         if par is not None:
-            free[par] -= 1
-    per_root: dict[int, list[Coord]] = {root: [] for root in forest.roots}
-    for e in forest.parent:
-        per_root[forest.root_of(e)].extend([items[e].right] * free[e])
-    return {root: signature(values) for root, values in per_root.items()}
+            children[par].append(e)
+    signatures = {}
+    for root in forest.roots:
+        values, stack = [], [root]
+        while stack:
+            e = stack.pop()
+            values.extend([items[e].right] * (forest.k - len(children[e])))
+            stack.extend(children[e])
+        signatures[root] = signature(values)
+    return signatures

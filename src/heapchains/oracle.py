@@ -7,11 +7,11 @@ guards the searches are exponential and the oracles are not meant to run.
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import combinations
 from typing import Sequence
 
-from .flow import k_width
-from .poset import CycleError, Interval, Poset, _check_arity, poset_from_interval_set
+from .poset import Interval, Poset, _check_arity
 
 
 class TooLarge(ValueError):
@@ -47,18 +47,35 @@ def oracle_k_width(poset: Poset, k: int) -> int:
 
 
 def oracle_max_heapable(items: Sequence[Interval], k: int) -> int:
-    """Largest subset forming a single k-ary chain, by subset enumeration."""
+    """Largest subset forming a single k-ary chain, by subset enumeration.
+
+    The relation right <= left is computed once.  A subset holding two
+    mutually dominating items (the same point twice) is never a chain.  Any
+    other subset is listed with every item after all items below it and
+    checked by backtracking: its first item is the root, and each later item
+    takes as parent an earlier item below it that has fewer than k children.
+    """
     _check_arity(k)
     n = len(items)
     if n > 12:
         raise TooLarge(f"oracle_max_heapable is limited to n <= 12, got {n}")
+    below = [{i for i in range(n) if i != j and items[i].right <= items[j].left} for j in range(n)]
+
+    @cache
+    def place(members: tuple[int, ...], pos: int, free: tuple[int, ...]) -> bool:
+        # free[q] is how many more children members[q] may take.
+        return pos == len(members) or any(
+            free[q] and members[q] in below[members[pos]]
+            and place(members, pos + 1, free[:q] + (free[q] - 1,) + free[q + 1 :])
+            for q in range(pos)
+        )
+
+    # Fewer items below first: in a mutual-free subset, parents precede children.
+    ranked = sorted(range(n), key=lambda j: len(below[j]))
     for size in range(n, 0, -1):
-        for subset in combinations(range(n), size):
-            try:
-                sub = poset_from_interval_set([items[i] for i in subset])
-            except CycleError:
-                continue  # mutually dominating degenerate duplicates: never a chain
-            if k_width(sub, k)[0] == 1:
+        for subset in combinations(ranked, size):
+            mutual = any(i in below[j] for i in subset for j in below[i].intersection(subset))
+            if not mutual and place(subset, 1, (k,) * size):
                 return size
     return 0
 

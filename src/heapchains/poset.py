@@ -245,8 +245,9 @@ def _interval_ranks(items: Sequence[Interval]) -> tuple[list[int], list[int]]:
 
 
 def _check_permutation(perm: Iterable[int]) -> list[int]:
-    """The sequence as a list; NotAPermutation unless it is a bijection on 0..n-1."""
-    seq = list(perm)
+    """The sequence as a list of ints; TypeError for values that are not
+    integers (floats, bools), NotAPermutation unless it is a bijection on 0..n-1."""
+    seq = [v if v.__class__ is int else _element_id(v) for v in perm]
     if sorted(seq) != list(range(len(seq))):
         raise NotAPermutation(f"not a bijection on 0..{len(seq) - 1}: {seq!r}")
     return seq
@@ -339,11 +340,6 @@ class HeapForest:
 
     def children_of(self, x: int) -> tuple[int, ...]:
         return tuple(sorted(c for c, p in self.parent.items() if p == x))
-
-    def root_of(self, x: int) -> int:
-        while self.parent[x] is not None:
-            x = self.parent[x]
-        return x
 
 
 def verify_forest(poset: Poset, forest: HeapForest, k: int) -> bool:

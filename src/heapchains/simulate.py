@@ -9,8 +9,9 @@ counts match ``greedy_partition_sequence`` exactly; sorting arrivals by
 (right, left) before feeding the process gives the set variant.
 
 Each trial ranks its draws exactly with ``np.unique`` (equal floats share a
-rank) and runs the process on the counted slot pool of
-``heapchains.greedy``, with one owner per arrival.  Floats come back only
+rank) and runs the process as the best-fit loop of ``heapchains.greedy``
+(``_best_fit``) on those ranks, with one slot owner per arrival; set mode
+only changes the order in which arrivals are taken.  Floats come back only
 where ``run_process`` reports the final particles.
 
 Each trial derives its own generator from the root seed by a counter-based
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .greedy import _SlotPool
+from .greedy import _best_fit
 from .poset import Interval, _check_arity
 
 MODE_SEQUENCE = "seq"
@@ -67,23 +68,17 @@ def trial_rng(seed: int, trial: int) -> np.random.Generator:
 
 def random_interval(rng: np.random.Generator) -> Interval:
     """One random subinterval of (0, 1): two uniform draws, sorted."""
-    u, v = rng.random(2).tolist()
-    return Interval(min(u, v), max(u, v))
+    return Interval(*_sample_pairs(rng, 1)[0])
 
 
 def sample_intervals(rng: np.random.Generator, n: int) -> list[Interval]:
     """n random intervals, consuming the stream exactly like n random_interval calls."""
-    return [Interval(min(u, v), max(u, v)) for u, v in _sample_pairs(rng, n)]
+    return [Interval(u, v) for u, v in _sample_pairs(rng, n)]
 
 
 def _sample_pairs(rng: np.random.Generator, n: int) -> list[tuple[float, float]]:
     draws = rng.random(2 * n).tolist()
-    return [
-        (draws[2 * i], draws[2 * i + 1])
-        if draws[2 * i] <= draws[2 * i + 1]
-        else (draws[2 * i + 1], draws[2 * i])
-        for i in range(n)
-    ]
+    return [(u, v) if u <= v else (v, u) for u, v in zip(draws[0::2], draws[1::2])]
 
 
 def _ranked_pairs(draws: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -94,23 +89,10 @@ def _ranked_pairs(draws: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return values, np.minimum(firsts, seconds), np.maximum(firsts, seconds)
 
 
-def _particle_process(lefts, rights, ranks: int, k: int) -> tuple[int, _SlotPool]:
-    """Run arrivals given as rank arrays; return the new-chain count and the
-    pool of live particles."""
-    pool = _SlotPool(ranks, len(lefts))
-    take_best, open_slots = pool.take_best, pool.open
-    count = 0
-    for owner, (left, right) in enumerate(zip(lefts.tolist(), rights.tolist())):
-        if take_best(left) is None:
-            count += 1
-        open_slots(right, owner, k)
-    return count, pool
-
-
 def _chain_count(pairs, k: int) -> int:
     """New chains the process starts on float (left, right) pairs, in order."""
     values, lefts, rights = _ranked_pairs(np.asarray(pairs, dtype=float).reshape(-1))
-    return _particle_process(lefts, rights, len(values), k)[0]
+    return _best_fit(range(len(lefts)), lefts.tolist(), rights.tolist(), k, len(values))[0]
 
 
 def run_process(n: int, k: int, rng: np.random.Generator) -> tuple[int, tuple[float, ...]]:
@@ -121,7 +103,7 @@ def run_process(n: int, k: int, rng: np.random.Generator) -> tuple[int, tuple[fl
     """
     _check_arity(k)
     values, lefts, rights = _ranked_pairs(rng.random(2 * n))
-    count, pool = _particle_process(lefts, rights, len(values), k)
+    count, _, pool = _best_fit(range(n), lefts.tolist(), rights.tolist(), k, len(values))
     values = values.tolist()
     return count, tuple(values[rank] for rank in pool.ranks())
 
@@ -137,12 +119,14 @@ def estimate_scaling(config: SimConfig) -> SimStats:
     """Independent seeded trials of the process; aggregates per-trial chain counts."""
     counts = []
     for trial in range(config.trials):
-        draws = trial_rng(config.seed, trial).random(2 * config.n)
-        values, lefts, rights = _ranked_pairs(draws)
+        values, lefts, rights = _ranked_pairs(trial_rng(config.seed, trial).random(2 * config.n))
         if config.mode == MODE_SORTED_SET:
-            order = np.lexsort((lefts, rights))
+            # By right rank, then left rank: one stable sort of one int key.
+            order = np.argsort(rights * len(values) + lefts, kind="stable")
             lefts, rights = lefts[order], rights[order]
-        counts.append(_particle_process(lefts, rights, len(values), config.k)[0])
+        counts.append(
+            _best_fit(range(config.n), lefts.tolist(), rights.tolist(), config.k, len(values))[0]
+        )
     mean = statistics.fmean(counts)
     stderr = (
         statistics.stdev(counts) / math.sqrt(config.trials) if config.trials > 1 else 0.0

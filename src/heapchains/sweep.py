@@ -39,6 +39,7 @@ def sweep_partition(boxes: Sequence[Box], k: int) -> tuple[int, HeapForest]:
         events.append((box.lower[0], _LOWER, rank[bid], bid))
     events.sort(key=lambda e: e[:3])
 
+    # Not greedy._best_fit: a box opens its slots at a later event than it takes.
     available = _SlotPool(2 * n, n)
     # A box's slots open once both its corners have been swept: only then
     # does its whole x-extent lie left of the sweep.

@@ -15,6 +15,7 @@ from heapchains import (
     Interval,
     NotAPermutation,
     TraceStep,
+    best_fit_trace,
     chain_signatures,
     dominates,
     greedy_max_heapable_subset,
@@ -412,12 +413,17 @@ def _naive_intervals(items, order, k, single_chain=False):
 
 
 def _naive_permutation(perm, k):
-    slots, parent = [], {}
+    slots, parent, trace = [], {}, []
     for value in perm:
         best = _naive_take(slots, value, strict=True)
-        parent[value] = None if best is None else best[1]
+        if best is None:
+            parent[value] = None
+            trace.append(TraceStep(value, NEW_CHAIN))
+        else:
+            parent[value] = best[1]
+            trace.append(TraceStep(value, ATTACHED, parent=best[1], slot=best[0]))
         slots.append([value, value, k])
-    return parent
+    return parent, tuple(trace)
 
 
 def _naive_sweep(boxes, k):
@@ -509,10 +515,11 @@ class TestNaiveReference:
             perm = list(range(rng.randint(0, 40)))
             rng.shuffle(perm)
             k = rng.choice(self.KS)
-            parent = _naive_permutation(perm, k)
+            parent, trace = _naive_permutation(perm, k)
             count, forest = greedy_partition_permutation(perm, k)
             assert count == list(parent.values()).count(None)
             assert forest.parent == parent
+            assert _typed(best_fit_trace(forest, perm, range(len(perm)))) == _typed(trace)
 
     def test_sweep(self):
         rng = random.Random(47)

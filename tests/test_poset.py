@@ -16,6 +16,7 @@ from heapchains import (
     Interval,
     NotAPermutation,
     compare_total,
+    greedy_partition_permutation,
     k_width,
     poset_from_box_set,
     poset_from_interval_sequence,
@@ -388,6 +389,19 @@ class TestFromPermutation:
     def test_rejects_non_bijection(self):
         with pytest.raises(NotAPermutation):
             poset_from_permutation((0, 0, 1))
+
+    @pytest.mark.parametrize("bad", [[1.0, 0.0], [True, False], [0, 1.0, 2]])
+    def test_rejects_non_integer_values(self, bad):
+        with pytest.raises(TypeError):
+            poset_from_permutation(bad)
+        with pytest.raises(TypeError):
+            greedy_partition_permutation(bad, 2)
+
+    def test_numpy_ints_become_ints(self):
+        np = pytest.importorskip("numpy")
+        count, forest = greedy_partition_permutation(np.array([1, 0, 2]), 1)
+        assert count == 2 and forest.parent == {1: None, 0: None, 2: 1}
+        assert all(value.__class__ is int for value in forest.parent)
 
 
 class TestIntervalPosets:
