@@ -35,10 +35,12 @@ from .oracle import (
     oracle_width_antichain,
 )
 from .poset import (
+    Box,
     CycleError,
     IdOutOfRange,
     Interval,
     NotAPermutation,
+    poset_from_box_set,
     poset_from_interval_sequence,
     poset_from_interval_set,
 )
@@ -204,6 +206,22 @@ def _cmd_crosscheck(args) -> int:
         if count != got:
             failures.append(f"process {count} != greedy {got} (trial {trial}, k={k})")
     print(f"process vs greedy: {args.trials} trials")
+
+    for trial in range(args.trials):
+        k = trial % 3 + 1
+        boxes = []
+        for _ in range(rng.randint(1, 12)):
+            x1, y1, x2, y2 = (rng.randint(0, 2) for _ in range(4))
+            boxes.append(Box((min(x1, x2), min(y1, y2)), (max(x1, x2), max(y1, y2))))
+        try:
+            poset = poset_from_box_set(boxes)
+        except CycleError:
+            continue
+        got = sweep_partition(boxes, k)[0]
+        want = k_width(poset, k)[0]
+        if got != want:
+            failures.append(f"sweep {got} != flow {want} (trial {trial}, k={k})")
+    print(f"sweep vs flow: {args.trials} trials")
 
     if failures:
         for line in failures:

@@ -139,9 +139,10 @@ def save_forest_json(path, forest: HeapForest) -> None:
 
 def load_forest_json(path) -> HeapForest:
     """Inverse of save_forest_json.  Checks the shape of the file, that ids
-    and k are integers with k >= 1, and that no node is listed both as a root
-    and as a child; whether the forest is a valid partition of some poset is
-    left to ``verify_forest``."""
+    and k are integers with k >= 1 (child keys such as " 1" or "1_0", which
+    ``int`` would coerce, are rejected), and that no node is listed both as a
+    root and as a child; whether the forest is a valid partition of some poset
+    is left to ``verify_forest``."""
     with open(path) as handle:
         try:
             data = json.load(handle)
@@ -149,8 +150,10 @@ def load_forest_json(path) -> HeapForest:
             raise InputFormatError(f"{path}: invalid JSON: {exc}") from exc
     try:
         parent: dict[int, int | None] = {_element_id(root): None for root in data["roots"]}
-        # Object keys are always strings in JSON, so child ids go through int().
+        # Object keys are always strings in JSON: each must read back as the id it names.
         children = {int(child): _element_id(par) for child, par in data["parent"].items()}
+        if list(map(str, children)) != list(data["parent"]):
+            raise ValueError("child keys must be plain integer ids")
         k = _element_id(data["k"])
         _check_arity(k)
     except (AttributeError, KeyError, TypeError, ValueError) as exc:

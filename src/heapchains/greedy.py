@@ -31,6 +31,7 @@ from heapq import heappop, heappush
 from typing import Iterable, Optional, Sequence
 
 from .poset import Coord, HeapForest, Interval, _check_arity, _check_permutation, _interval_ranks
+from .poset import _check_distinct_points
 
 NEW_CHAIN = "new_chain"
 ATTACHED = "attached"
@@ -219,6 +220,8 @@ def best_fit_trace(forest: HeapForest, order: Iterable, slots: Sequence) -> tupl
 def _interval_best_fit(items: Sequence[Interval], k: int, set_order: bool) -> tuple:
     _check_arity(k)
     lefts, rights = _interval_ranks(items)
+    if set_order:
+        _check_distinct_points((lefts,), (rights,))
     order = _set_order(lefts, rights) if set_order else range(len(items))
     count, parent, _ = _best_fit(order, lefts, rights, k, 2 * len(items))
     forest = HeapForest(k, {i: parent[i] for i in order})
@@ -240,7 +243,8 @@ def sorted_set_order(items: Sequence[Interval]) -> list[int]:
 def greedy_partition_set(
     items: Sequence[Interval], k: int
 ) -> tuple[int, HeapForest, tuple[TraceStep, ...]]:
-    """Minimum partition of an interval set: sort by the total order, then best fit."""
+    """Minimum partition of an interval set: sort by the total order, then best fit.
+    Two equal point intervals dominate each other and raise CycleError."""
     return _interval_best_fit(items, k, set_order=True)
 
 
@@ -265,10 +269,11 @@ def greedy_max_heapable_subset(
 
     Items are taken in the total order; the first roots the tree, and later
     items either attach best-fit or are rejected outright (rejected items
-    never open slots).
+    never open slots).  Two equal point intervals raise CycleError.
     """
     _check_arity(k)
     lefts, rights = _interval_ranks(items)
+    _check_distinct_points((lefts,), (rights,))
     order = _set_order(lefts, rights)
     pool = _SlotPool(2 * len(items), len(items))
     parent: dict[int, Optional[int]] = {}

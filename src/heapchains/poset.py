@@ -74,10 +74,6 @@ class Box:
         if self.lower[0] > self.upper[0] or self.lower[1] > self.upper[1]:
             raise ValueError(f"box corners out of order: {self.lower} / {self.upper}")
 
-    def y_interval(self) -> Interval:
-        """Projection onto the y axis."""
-        return Interval(self.lower[1], self.upper[1])
-
 
 class Poset:
     """Strict partial order on 0..n-1, transitively closed.
@@ -133,7 +129,7 @@ class Poset:
 
 
 def _check_arity(k: int) -> None:
-    if not isinstance(k, int) or k < 1:
+    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
         raise ValueError(f"arity must be an integer >= 1, got {k!r}")
 
 
@@ -253,17 +249,21 @@ def _check_permutation(perm: Iterable[int]) -> list[int]:
     return seq
 
 
-def _dominance_poset(low: tuple[Sequence[int], ...], high: tuple[Sequence[int], ...]) -> Poset:
-    """less(i, j) iff i != j and high[c][i] <= low[c][j] in every column c.
-
-    Columns are int ranks with low <= high per item, so two items precede
-    each other only when they are the same point; that raises CycleError.
-    """
-    n = len(low[0])
-    first: dict[tuple[int, ...], int] = {}
+def _check_distinct_points(low: tuple[Sequence, ...], high: tuple[Sequence, ...]) -> None:
+    """CycleError if two items are one point: low == high in every column, and equal."""
+    first: dict[tuple, int] = {}
     for i, (lo, hi) in enumerate(zip(zip(*low), zip(*high))):
         if lo == hi and first.setdefault(lo, i) != i:
             raise CycleError(f"items {first[lo]} and {i} are one point and dominate each other")
+
+
+def _dominance_poset(low: tuple[Sequence[int], ...], high: tuple[Sequence[int], ...]) -> Poset:
+    """less(i, j) iff i != j and high[c][i] <= low[c][j] in every column c.
+
+    Columns are int ranks with low <= high per item; a repeated point raises CycleError.
+    """
+    n = len(low[0])
+    _check_distinct_points(low, high)
     lows, highs = np.asarray(low, dtype=np.int64), np.asarray(high, dtype=np.int64)
     masks: list[int] = []
     for start in range(0, n, _BLOCK_ROWS):

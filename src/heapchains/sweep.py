@@ -1,58 +1,54 @@
 """Sweep-line partition of box sequences into k-ary chains.
 
-Boxes are processed as corner events from left to right.  A box's k slots
-(valued at its upper y) are created when its lower corner is reached but stay
-*unavailable* until its upper corner has been swept, because only a box whose
-x-extent is fully to the left may serve as a parent.  A lower corner attaches
-to the highest available slot at or below its y, or starts a new chain when
-none exists (the permanent sentinel below all inputs).  The y coordinates
-are ranked once, exactly, and the slots live in the counted pool of
-``heapchains.greedy``.
+Boxes become events sorted by x.  A box *takes* at its lower x: it spends
+the highest open slot at or below its lower y, or starts a new chain when
+none fits.  It *opens* its k slots, valued at its upper y, at its upper x,
+since only a box whose x-extent lies fully to the left may be a parent.  A
+zero-width box does both in one event.  At one x, opens run first, then the
+zero-width boxes by upper y and lower y (the order of an interval set, see
+``greedy_partition_set``), then takes by upper x and input id.  Events
+compare x exactly, the y coordinates are ranked once, and the slots live in
+the counted pool of ``heapchains.greedy``.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .greedy import _SlotPool
-from .poset import Box, HeapForest, _check_arity, _dense_ranks
+from .poset import Box, HeapForest, _check_arity, _check_distinct_points, _dense_ranks
 
-_UPPER = 0  # at equal x, upper corners are swept before lower corners
-_LOWER = 1
+_OPEN, _BOTH, _TAKE = 0, 1, 2  # phase order at one x
 
 
 def sweep_partition(boxes: Sequence[Box], k: int) -> tuple[int, HeapForest]:
-    """Optimal partition into k-ary chains of boxes ordered by upper-corner x.
+    """Optimal partition into k-ary chains of boxes ordered by dominance.
 
-    Input in any order is normalized by a stable sort on upper x.  Returns the
-    chain count and a forest over the original box ids.
+    Returns the chain count, the same for input in any order, and a forest
+    over the original box ids.  Two boxes that are one point raise CycleError.
     """
     _check_arity(k)
     n = len(boxes)
+    lo_xs, hi_xs = [box.lower[0] for box in boxes], [box.upper[0] for box in boxes]
     ys = _dense_ranks([box.lower[1] for box in boxes] + [box.upper[1] for box in boxes])
-    lower_y, upper_y = ys[:n], ys[n:]
-    order = sorted(range(n), key=lambda i: boxes[i].upper[0])
-    rank = {bid: pos for pos, bid in enumerate(order)}
+    _check_distinct_points((lo_xs, ys[:n]), (hi_xs, ys[n:]))
     events = []
-    for bid, box in enumerate(boxes):
-        events.append((box.upper[0], _UPPER, rank[bid], bid))
-        events.append((box.lower[0], _LOWER, rank[bid], bid))
-    events.sort(key=lambda e: e[:3])
+    for bid, (lo_x, hi_x) in enumerate(zip(lo_xs, hi_xs)):
+        if lo_x == hi_x:
+            events.append((lo_x, _BOTH, ys[n + bid], ys[bid], bid))
+        else:
+            events.append((lo_x, _TAKE, hi_x, bid))
+            events.append((hi_x, _OPEN, bid))
+    events.sort()
 
-    # Not greedy._best_fit: a box opens its slots at a later event than it takes.
-    available = _SlotPool(2 * n, n)
-    # A box's slots open once both its corners have been swept: only then
-    # does its whole x-extent lie left of the sweep.
-    half_swept = [False] * n
-    parent: dict[int, Optional[int]] = {}
-    count = 0
-    for _, kind, _, bid in events:
-        if kind == _LOWER:
-            owner = available.take_best(lower_y[bid])
-            if owner is None:
-                count += 1
-            parent[bid] = owner
-        if half_swept[bid]:
-            available.open(upper_y[bid], bid, k)
-        half_swept[bid] = True
+    # Not greedy._best_fit: a box of positive width opens its slots after it takes.
+    pool = _SlotPool(2 * n, n)
+    parent, count = {}, 0
+    for event in events:
+        phase, bid = event[1], event[-1]
+        if phase != _OPEN:
+            owner = parent[bid] = pool.take_best(ys[bid])
+            count += owner is None
+        if phase != _TAKE:
+            pool.open(ys[n + bid], bid, k)
     return count, HeapForest(k, parent)

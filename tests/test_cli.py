@@ -156,6 +156,8 @@ class TestFormats:
         [
             '{"k": 2.7, "roots": [true, "3"], "parent": {"2": 0.9}}',
             '{"k": 0, "roots": [0], "parent": {}}',
+            '{"k": 1, "roots": [0], "parent": {" 1": 0}}',
+            '{"k": 1, "roots": [0], "parent": {"1_0": 0}}',
         ],
     )
     def test_forest_non_integer_ids_and_bad_k_rejected(self, tmp_path, text):
@@ -265,7 +267,8 @@ class TestCliCommands:
 
     def test_crosscheck_passes(self, capsys):
         assert run(["crosscheck", "--trials", "12", "--seed", "7"]) == 0
-        assert "all checks passed" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "sweep vs flow: 12 trials" in out and "all checks passed" in out
 
     def test_deterministic_stdout(self, capsys, s1_csv):
         run(["intervals-seq", "--k", "2", "--input", s1_csv, "--trace"])
@@ -299,6 +302,16 @@ class TestCliErrors:
         path = tmp_path / "p.json"
         path.write_text(json.dumps({"n": 2, "relations": [[0, 1], [1, 0]]}))
         assert run(["kwidth", "--k", "1", "--poset", str(path)]) == 2
+
+    def test_repeated_point_exit_2(self, capsys, tmp_path):
+        intervals, boxes = tmp_path / "iv.csv", tmp_path / "bx.csv"
+        intervals.write_text("2,2\n1,3\n2,2\n")
+        boxes.write_text("1,2,1,2\n0,0,3,3\n1,2,1,2\n")
+        for command, path in [("intervals-set", intervals), ("max-heapable", intervals),
+                              ("trapezoid", boxes)]:
+            assert run([command, "--k", "2", "--input", str(path)]) == 2
+            assert "one point" in capsys.readouterr().err
+        assert run(["intervals-seq", "--k", "2", "--input", str(intervals)]) == 0
 
     def test_negative_simulate_n_or_seed_is_usage_error(self, capsys):
         assert run(["simulate", "--k", "2", "--n", "-1", "--trials", "1"]) == 1

@@ -16,13 +16,16 @@ from heapchains import (
     Interval,
     NotAPermutation,
     compare_total,
+    greedy_max_heapable_subset,
     greedy_partition_permutation,
+    greedy_partition_set,
     k_width,
     poset_from_box_set,
     poset_from_interval_sequence,
     poset_from_interval_set,
     poset_from_permutation,
     poset_from_relations,
+    sweep_partition,
     verify_forest,
 )
 
@@ -444,8 +447,16 @@ class TestIntervalPosets:
             assert set(seq.pairs()) <= set(full.pairs())
 
     def test_identical_degenerate_intervals_rejected(self):
+        # The builders, the set greedies and the sweep share one check.
+        items = [Interval(2, 2), Interval(1, 3), Interval(2, 2)]
         with pytest.raises(CycleError):
-            poset_from_interval_set([Interval(2, 2), Interval(2, 2)])
+            poset_from_interval_set(items)
+        with pytest.raises(CycleError):
+            greedy_partition_set(items, 2)
+        with pytest.raises(CycleError):
+            greedy_max_heapable_subset(items, 2)
+        with pytest.raises(CycleError):
+            sweep_partition([Box((1, 2), (1, 2)), Box((0, 0), (3, 3)), Box((1, 2), (1, 2))], 2)
 
     def test_single_degenerate_interval_ok(self):
         p = poset_from_interval_set([Interval(2, 2), Interval(3, 4)])

@@ -7,6 +7,7 @@ import pytest
 from heapchains import (
     MODE_SEQUENCE,
     MODE_SORTED_SET,
+    CycleError,
     Interval,
     SimConfig,
     SimStats,
@@ -87,9 +88,20 @@ class TestTiedEndpoints:
             pairs = [tuple(sorted(draws[i : i + 2])) for i in range(0, len(draws), 2)]
             set_pairs = sorted(pairs, key=lambda p: (p[1], p[0]))
             items = [Interval(a, b) for a, b in pairs]
+            set_items = [Interval(a, b) for a, b in set_pairs]
+            points = [a for a, b in pairs if a == b]
+            repeats_a_point = len(set(points)) < len(points)
             for k in (1, 2, 3):
                 assert _chain_count(pairs, k) == greedy_partition_sequence(items, k)[0]
-                assert _chain_count(set_pairs, k) == greedy_partition_set(items, k)[0]
+                count = _chain_count(set_pairs, k)
+                assert count == greedy_partition_sequence(set_items, k)[0]
+                # Two equal point intervals dominate each other, so the set
+                # greedy rejects them, as the poset builder does.
+                if repeats_a_point:
+                    with pytest.raises(CycleError):
+                        greedy_partition_set(items, k)
+                else:
+                    assert count == greedy_partition_set(items, k)[0]
 
 
 class TestEstimateScaling:
@@ -125,6 +137,8 @@ class TestEstimateScaling:
             SimConfig(n=-1, k=1, trials=1, seed=0)
         with pytest.raises(ValueError):
             SimConfig(n=1, k=0, trials=1, seed=0)
+        with pytest.raises(ValueError):
+            SimConfig(n=1, k=True, trials=1, seed=0)
         with pytest.raises(ValueError):
             SimConfig(n=1, k=1, trials=0, seed=0)
         with pytest.raises(ValueError):

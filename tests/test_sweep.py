@@ -1,9 +1,13 @@
 import random
 
+import pytest
+
 from heapchains import (
     Box,
+    CycleError,
     Interval,
     greedy_partition_sequence,
+    greedy_partition_set,
     k_width,
     poset_from_box_set,
     sweep_partition,
@@ -42,6 +46,15 @@ class TestSweepExamples:
         count, forest = sweep_partition([], 2)
         assert count == 0 and forest.parent == {}
 
+    def test_point_below_zero_width_box_in_either_order(self):
+        # The point (1, 0) is the lower corner of the other box, so it can be
+        # that box's parent whichever comes first in the input.
+        boxes = [Box((1, 0), (1, 5)), Box((1, 0), (1, 0))]
+        for ordered in (boxes, boxes[::-1]):
+            count, forest = sweep_partition(ordered, 1)
+            assert count == 1
+            assert verify_forest(poset_from_box_set(ordered), forest, 1)
+
 
 class TestSweepProperties:
     def test_matches_flow_on_random_instances(self):
@@ -75,6 +88,42 @@ class TestSweepProperties:
                 boxes.append(Box((xs[i], y1), (xs[i], y2)))
             for k in (1, 2, 3):
                 assert sweep_partition(boxes, k)[0] == greedy_partition_sequence(items, k)[0]
+
+    def test_tied_grid_matches_flow(self):
+        # Coordinates 0..3 make shared corners and zero-width boxes common.
+        rng = random.Random(55)
+        checked = 0
+        for _ in range(1500):
+            boxes = []
+            for _ in range(rng.randint(1, 9)):
+                x1, x2 = sorted((rng.randint(0, 3), rng.randint(0, 3)))
+                y1, y2 = sorted((rng.randint(0, 3), rng.randint(0, 3)))
+                boxes.append(Box((x1, y1), (x2, y2)))
+            k = rng.randint(1, 3)
+            try:
+                poset = poset_from_box_set(boxes)
+            except CycleError:
+                with pytest.raises(CycleError):
+                    sweep_partition(boxes, k)
+                continue
+            count, forest = sweep_partition(boxes, k)
+            assert count == k_width(poset, k)[0]
+            assert verify_forest(poset, forest, k)
+            checked += 1
+        assert checked > 1400
+
+    def test_zero_width_at_one_x_is_an_interval_set(self):
+        rng = random.Random(56)
+        for _ in range(200):
+            n = rng.randint(1, 12)
+            pairs = [sorted((rng.randint(0, 8), rng.randint(0, 8))) for _ in range(n)]
+            points = [y1 for y1, y2 in pairs if y1 == y2]
+            if len(set(points)) < len(points):
+                continue  # two equal points dominate each other
+            items = [Interval(y1, y2) for y1, y2 in pairs]
+            boxes = [Box((4, item.left), (4, item.right)) for item in items]
+            for k in (1, 2, 3):
+                assert sweep_partition(boxes, k)[0] == greedy_partition_set(items, k)[0]
 
     def test_parent_upper_corner_precedes_child_lower_corner(self):
         # availability discipline: a parent's x-extent lies fully left of the child's
