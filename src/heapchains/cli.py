@@ -13,6 +13,7 @@ bug and propagates with its traceback.
 from __future__ import annotations
 
 import argparse
+import functools
 import random
 import sys
 
@@ -231,6 +232,7 @@ def _cmd_crosscheck(args) -> int:
     return 0
 
 
+@functools.cache  # parse_args leaves the parser unchanged, so one per process
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="heapchains",

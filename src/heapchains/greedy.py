@@ -14,21 +14,23 @@ Slot multisets are plain iterables of exact numeric values; signatures are
 sorted tuples.
 
 The partition algorithms rank all endpoints once, exactly, into
-order-isomorphic ints, and run on one counted slot pool that holds a single
-entry per slot owner together with its unused lives.  Best fit therefore
-compares only ints, and its cost does not depend on k.  One loop,
-``_best_fit``, serves the partitions and the particle process of
-``heapchains.simulate``; the max-heapable subset and the sweep line of
-``heapchains.sweep`` keep their own loops on the same pool.  Every trace
-comes from ``best_fit_trace``, which reports slots by original coordinate.
+order-isomorphic ints, and ``_slot_ranks`` gives every slot owner its own
+rank with the tie rule built in, so one counted slot pool keeps a rank per
+owner plus its unused lives.  Best fit therefore compares only ints, and
+its cost does not depend on k.  One loop, ``_best_fit``, serves the
+partitions and the particle process of ``heapchains.simulate``; the
+max-heapable subset and the sweep line of ``heapchains.sweep`` keep their
+own loops on the same pool.  Every trace comes from ``best_fit_trace``,
+which reports slots by original coordinate.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right, insort
 from dataclasses import dataclass
-from heapq import heappop, heappush
 from typing import Iterable, Optional, Sequence
+
+import numpy as np
 
 from .poset import Coord, HeapForest, Interval, _check_arity, _check_permutation, _interval_ranks
 from .poset import _check_distinct_points
@@ -105,52 +107,54 @@ def _set_order(lefts: Sequence[int], rights: Sequence[int]) -> list[int]:
     return sorted(range(len(lefts)), key=lambda i: (rights[i], lefts[i]))
 
 
-class _SlotPool:
-    """Open slots with one entry per owner and a count of its unused lives.
+def _slot_ranks(bounds, slots) -> tuple[list[int], list[int], list[int]]:
+    """Rank the owners by slot value, equal values by descending owner id, so
+    rank r belongs to ``owners[r]`` and owner i holds ``ranks[i]``; each bound
+    becomes the highest rank whose value does not exceed it (-1 if none).
+    The highest live rank at or below a bound is then the lowest owner among
+    the highest values that fit: the one place this tie rule is written."""
+    slots = np.asarray(slots)
+    owners = np.lexsort((-np.arange(len(slots)), slots))
+    ranks = np.empty_like(owners)
+    ranks[owners] = np.arange(len(owners))
+    bounds = np.searchsorted(slots[owners], bounds, side="right") - 1
+    return bounds.tolist(), ranks.tolist(), owners.tolist()
 
-    Slot values are ranks in range(ranks) and owners lie in range(owners).
-    Best fit takes the highest rank <= bound, breaking ties toward the
-    lowest owner id.  Live ranks are bits of 64-bit block ints, and a
-    summary int has a bit for each non-empty block, so finding the best
-    rank takes one mask and ``bit_length`` on a block and at most one more
-    on the summary.  A rank keeps its owner as a plain int, or as a heap
-    when several owners share it.  Lives are counted per owner, so the cost
-    of an operation does not depend on the lives count.
+
+class _SlotPool:
+    """Open slots: live ranks, rank r owned by ``owners[r]``, with a count of
+    unused lives per rank, so no operation's cost depends on the lives count.
+
+    Best fit takes the highest live rank at or below a bound.  Live ranks
+    are bits of 64-bit block ints, and a summary int has a bit for each
+    non-empty block, so finding that rank takes one mask and ``bit_length``
+    on a block and at most one more on the summary.
     """
 
     __slots__ = ("_blocks", "_summary", "_owners", "_lives")
 
-    def __init__(self, ranks: int, owners: int):
-        self._blocks = [0] * ((ranks + 63) >> 6)
+    def __init__(self, owners: Sequence[int]):
+        self._blocks = [0] * ((len(owners) + 63) >> 6)
         self._summary = 0
-        self._owners = [None] * ranks
-        self._lives = [0] * owners
+        self._owners = owners
+        self._lives = [0] * len(owners)
 
-    def open(self, rank: int, owner: int, lives: int) -> None:
-        """Give owner (which must not be open yet) ``lives`` slots at rank."""
-        self._lives[owner] = lives
-        entry = self._owners[rank]
-        if entry is None:
-            self._owners[rank] = owner
-            block = rank >> 6
-            if not self._blocks[block]:
-                self._summary |= 1 << block
-            self._blocks[block] |= 1 << (rank & 63)
-        elif type(entry) is int:
-            self._owners[rank] = [entry, owner] if entry < owner else [owner, entry]
-        else:
-            heappush(entry, owner)
+    def open(self, rank: int, lives: int) -> None:
+        """Give the owner of rank (which must not be open yet) ``lives`` slots."""
+        self._lives[rank] = lives
+        block = rank >> 6
+        if not self._blocks[block]:
+            self._summary |= 1 << block
+        self._blocks[block] |= 1 << (rank & 63)
 
     def take_best(self, bound: int) -> Optional[int]:
-        """Spend one life of the best slot at or below bound; return its owner."""
+        """Spend one life of the highest live rank at or below bound (a rank,
+        at least -1); return its owner, or None when no rank fits."""
         if bound < 0:
             return None
         blocks = self._blocks
         block = bound >> 6
-        if block < len(blocks):
-            mask = blocks[block] & ((2 << (bound & 63)) - 1)
-        else:
-            block, mask = len(blocks), 0
+        mask = blocks[block] & ((2 << (bound & 63)) - 1)
         if not mask:
             below = self._summary & ((1 << block) - 1)
             if not below:
@@ -158,47 +162,35 @@ class _SlotPool:
             block = below.bit_length() - 1
             mask = blocks[block]
         rank = block << 6 | (mask.bit_length() - 1)
-        entry = self._owners[rank]
-        owner = entry if type(entry) is int else entry[0]
-        self._lives[owner] -= 1
-        if self._lives[owner]:
-            return owner
-        if type(entry) is int:
-            self._owners[rank] = None
+        lives = self._lives
+        lives[rank] -= 1
+        if not lives[rank]:
             blocks[block] = mask = blocks[block] ^ (1 << (rank & 63))
             if not mask:
                 self._summary ^= 1 << block
-        else:
-            heappop(entry)
-            if len(entry) == 1:
-                self._owners[rank] = entry[0]
-        return owner
+        return self._owners[rank]
 
-    def ranks(self) -> list[int]:
-        """Ranks of the unused slots, ascending, one per life."""
-        lives = self._lives
-        live = []
-        for rank, entry in enumerate(self._owners):
-            if entry is not None:
-                for owner in [entry] if type(entry) is int else entry:
-                    live.extend([rank] * lives[owner])
-        return live
+    def owners_left(self) -> list[int]:
+        """Owners of the unused slots by ascending rank, one per life."""
+        owners = self._owners
+        return [owners[rank] for rank, lives in enumerate(self._lives) for _ in range(lives)]
 
 
-def _best_fit(order, bounds, slots, k: int, ranks: int) -> tuple[int, list, _SlotPool]:
+def _best_fit(order, bounds, ranks, owners, k: int) -> tuple[int, list, _SlotPool]:
     """Item i of ``order`` spends a life of the best slot at or below
-    ``bounds[i]``, or starts a chain, then opens k slots it owns at
-    ``slots[i]``.  Returns the new-chain count, the parent of each item (a
-    list indexed by item, None for roots) and the pool of unused slots."""
-    pool = _SlotPool(ranks, len(slots))
+    ``bounds[i]``, or starts a chain, then opens k slots at ``ranks[i]``
+    (see ``_slot_ranks``).  Returns the new-chain count, the parent of each
+    item (a list indexed by item, None for roots) and the pool of unused
+    slots."""
+    pool = _SlotPool(owners)
     take_best, open_slots = pool.take_best, pool.open
-    parent = [None] * len(slots)
+    parent = [None] * len(ranks)
     count = 0
     for i in order:
         owner = parent[i] = take_best(bounds[i])
         if owner is None:
             count += 1
-        open_slots(slots[i], i, k)
+        open_slots(ranks[i], k)
     return count, parent, pool
 
 
@@ -223,7 +215,7 @@ def _interval_best_fit(items: Sequence[Interval], k: int, set_order: bool) -> tu
     if set_order:
         _check_distinct_points((lefts,), (rights,))
     order = _set_order(lefts, rights) if set_order else range(len(items))
-    count, parent, _ = _best_fit(order, lefts, rights, k, 2 * len(items))
+    count, parent, _ = _best_fit(order, *_slot_ranks(lefts, rights), k)
     forest = HeapForest(k, {i: parent[i] for i in order})
     return count, forest, best_fit_trace(forest, order, [item.right for item in items])
 
@@ -257,8 +249,9 @@ def greedy_partition_permutation(perm: Sequence[int], k: int) -> tuple[int, Heap
     """
     _check_arity(k)
     seq = _check_permutation(perm)
-    # The values are their own ranks and item ids; value v takes below v.
-    count, parent, _ = _best_fit(seq, range(-1, len(seq) - 1), range(len(seq)), k, len(seq))
+    # The values are their own ranks, owners and item ids; value v takes below v.
+    ids = range(len(seq))
+    count, parent, _ = _best_fit(seq, range(-1, len(seq) - 1), ids, ids, k)
     return count, HeapForest(k, {value: parent[value] for value in seq})
 
 
@@ -275,14 +268,15 @@ def greedy_max_heapable_subset(
     lefts, rights = _interval_ranks(items)
     _check_distinct_points((lefts,), (rights,))
     order = _set_order(lefts, rights)
-    pool = _SlotPool(2 * len(items), len(items))
+    bounds, ranks, owners = _slot_ranks(lefts, rights)
+    pool = _SlotPool(owners)
     parent: dict[int, Optional[int]] = {}
     for i in order:
-        owner = pool.take_best(lefts[i])
+        owner = pool.take_best(bounds[i])
         if owner is None and parent:
             continue  # not _best_fit: a rejected item opens no slots
         parent[i] = owner
-        pool.open(rights[i], i, k)
+        pool.open(ranks[i], k)
     forest = HeapForest(k, parent)
     trace = best_fit_trace(forest, order, [item.right for item in items])
     return tuple(sorted(parent)), forest, trace

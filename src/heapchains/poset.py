@@ -43,9 +43,12 @@ class ElementMismatch(ValueError):
 
 
 def _check_finite(*coords: Coord) -> None:
-    # Only floats can be non-finite; exact int and Fraction coordinates skip the test.
+    # Exact coordinates skip the test (int and Fraction by a fast type check).
+    # np.isfinite judges a numpy longdouble too large for a float.
     for c in coords:
-        if isinstance(c, float) and not math.isfinite(c):
+        if type(c) in (int, Fraction) or isinstance(c, numbers.Rational):
+            continue
+        if not (math.isfinite(c) or np.isfinite(c)):
             raise ValueError(f"coordinate must be finite, got {c!r}")
 
 
@@ -137,7 +140,7 @@ def _element_id(value) -> int:
     """An int from anything with ``__index__`` (numpy ints too); floats, strings
     and bools raise TypeError instead of being truncated or coerced."""
     if isinstance(value, bool):
-        raise TypeError(f"element ids must be integers, got {value!r}")
+        raise TypeError(f"expected an integer, got {value!r}")
     return operator.index(value)
 
 

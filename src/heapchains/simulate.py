@@ -8,11 +8,11 @@ Live particles coincide with the greedy algorithm's open slots, so per-seed
 counts match ``greedy_partition_sequence`` exactly; sorting arrivals by
 (right, left) before feeding the process gives the set variant.
 
-Each trial ranks its draws exactly with ``np.unique`` (equal floats share a
-rank) and runs the process as the best-fit loop of ``heapchains.greedy``
-(``_best_fit``) on those ranks, with one slot owner per arrival; set mode
-only changes the order in which arrivals are taken.  Floats come back only
-where ``run_process`` reports the final particles.
+Each trial runs the process as the best-fit loop of ``heapchains.greedy``
+(``_best_fit``), with one slot owner per arrival: ``_slot_ranks`` ranks the
+raw float draws directly and exactly, and settles ties between equal
+particles.  Set mode only changes the order in which arrivals are taken;
+``run_process`` reads the final particles back from the arrivals' floats.
 
 Each trial derives its own generator from the root seed by a counter-based
 spawn, so trial order never affects results.
@@ -27,8 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .greedy import _best_fit
-from .poset import Interval, _check_arity
+from .greedy import _best_fit, _slot_ranks
+from .poset import Interval, _check_arity, _element_id
 
 MODE_SEQUENCE = "seq"
 MODE_SORTED_SET = "set"
@@ -45,10 +45,13 @@ class SimConfig:
 
     def __post_init__(self):
         _check_arity(self.k)
-        if self.n < 0:
-            raise ValueError(f"n must be >= 0, got {self.n}")
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
+        n, trials, seed = (_element_id(v) for v in (self.n, self.trials, self.seed))
+        if n < 0:
+            raise ValueError(f"n must be >= 0, got {n}")
+        if trials < 1:
+            raise ValueError(f"trials must be >= 1, got {trials}")
+        if seed < 0:
+            raise ValueError(f"seed must be >= 0, got {seed}")
         if self.mode not in _MODES:
             raise ValueError(f"mode must be one of {_MODES}, got {self.mode!r}")
 
@@ -77,22 +80,20 @@ def sample_intervals(rng: np.random.Generator, n: int) -> list[Interval]:
 
 
 def _sample_pairs(rng: np.random.Generator, n: int) -> list[tuple[float, float]]:
-    draws = rng.random(2 * n).tolist()
-    return [(u, v) if u <= v else (v, u) for u, v in zip(draws[0::2], draws[1::2])]
+    lefts, rights = _split_pairs(rng.random(2 * n))
+    return list(zip(lefts.tolist(), rights.tolist()))
 
 
-def _ranked_pairs(draws: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The distinct draws ascending, and each pair's lower and upper rank
-    among them; draws 2i and 2i + 1 form pair i."""
-    values, ranks = np.unique(draws, return_inverse=True)
-    firsts, seconds = ranks[0::2], ranks[1::2]
-    return values, np.minimum(firsts, seconds), np.maximum(firsts, seconds)
+def _split_pairs(draws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each pair's lower and upper draw; draws 2i and 2i + 1 form pair i."""
+    firsts, seconds = draws[0::2], draws[1::2]
+    return np.minimum(firsts, seconds), np.maximum(firsts, seconds)
 
 
 def _chain_count(pairs, k: int) -> int:
     """New chains the process starts on float (left, right) pairs, in order."""
-    values, lefts, rights = _ranked_pairs(np.asarray(pairs, dtype=float).reshape(-1))
-    return _best_fit(range(len(lefts)), lefts.tolist(), rights.tolist(), k, len(values))[0]
+    lefts, rights = _split_pairs(np.asarray(pairs, dtype=float).reshape(-1))
+    return _best_fit(range(len(lefts)), *_slot_ranks(lefts, rights), k)[0]
 
 
 def run_process(n: int, k: int, rng: np.random.Generator) -> tuple[int, tuple[float, ...]]:
@@ -102,10 +103,9 @@ def run_process(n: int, k: int, rng: np.random.Generator) -> tuple[int, tuple[fl
     (each particle value repeated once per remaining life).
     """
     _check_arity(k)
-    values, lefts, rights = _ranked_pairs(rng.random(2 * n))
-    count, _, pool = _best_fit(range(n), lefts.tolist(), rights.tolist(), k, len(values))
-    values = values.tolist()
-    return count, tuple(values[rank] for rank in pool.ranks())
+    lefts, rights = _split_pairs(rng.random(2 * n))
+    count, _, pool = _best_fit(range(n), *_slot_ranks(lefts, rights), k)
+    return count, tuple(rights[pool.owners_left()].tolist())
 
 
 def normalized_count(count: float, n: int, k: int) -> float:
@@ -119,14 +119,11 @@ def estimate_scaling(config: SimConfig) -> SimStats:
     """Independent seeded trials of the process; aggregates per-trial chain counts."""
     counts = []
     for trial in range(config.trials):
-        values, lefts, rights = _ranked_pairs(trial_rng(config.seed, trial).random(2 * config.n))
+        lefts, rights = _split_pairs(trial_rng(config.seed, trial).random(2 * config.n))
         if config.mode == MODE_SORTED_SET:
-            # By right rank, then left rank: one stable sort of one int key.
-            order = np.argsort(rights * len(values) + lefts, kind="stable")
+            order = np.lexsort((lefts, rights))  # by right, then left; stable
             lefts, rights = lefts[order], rights[order]
-        counts.append(
-            _best_fit(range(config.n), lefts.tolist(), rights.tolist(), config.k, len(values))[0]
-        )
+        counts.append(_best_fit(range(config.n), *_slot_ranks(lefts, rights), config.k)[0])
     mean = statistics.fmean(counts)
     stderr = (
         statistics.stdev(counts) / math.sqrt(config.trials) if config.trials > 1 else 0.0

@@ -35,7 +35,7 @@ from heapchains import (
     sweep_partition,
     verify_forest,
 )
-from heapchains.greedy import _SlotPool
+from heapchains.greedy import _SlotPool, _slot_ranks
 from heapchains.poset import _dense_ranks
 
 from conftest import (
@@ -560,49 +560,94 @@ class TestNaiveReference:
 
 
 class TestSlotPool:
-    """The bitset pool against _naive_take: highest rank <= bound, then the
-    lowest owner, one life spent per take."""
+    """The bitset pool against _naive_take on ranks: one owner per rank, the
+    highest live rank <= bound wins, one life spent per take."""
 
-    def test_boundary_ranks_shared_by_descending_owners(self):
+    def test_block_boundary_ranks(self):
         ranks = (0, 63, 64, 127, 128, 191, 192, 255)
-        pool, slots = _SlotPool(256, 3 * len(ranks)), []
-        owner = 3 * len(ranks)
-        for rank in ranks:
-            for lives in (1, 2, 1):
-                owner -= 1
-                pool.open(rank, owner, lives)
-                slots.append([rank, owner, lives])
+        owners = list(range(256))[::-1]
+        pool, slots = _SlotPool(owners), []
+        for rank, lives in zip(ranks, (1, 2, 3, 1, 2, 3, 1, 2)):
+            pool.open(rank, lives)
+            slots.append([rank, owners[rank], lives])
         assert pool.take_best(-1) is None
-        assert pool.take_best(10**6) == 0 == _naive_take(slots, 10**6)[1]
-        for bound in (-1, 0, 1, 62, 63, 64, 65, 126, 127, 128, 190, 192, 255, 256, 10**6):
+        assert pool.take_best(255) == owners[255] == _naive_take(slots, 255)[1]
+        for bound in (-1, 0, 1, 62, 63, 64, 65, 126, 127, 128, 190, 191, 192, 254, 255):
             while True:
                 best = _naive_take(slots, bound)
                 assert pool.take_best(bound) == (None if best is None else best[1])
                 if best is None:
                     break
-        assert slots == [] and pool.ranks() == []
+        assert slots == [] and pool.owners_left() == []
 
     def test_random_operations(self):
         rng = random.Random(49)
         for _ in range(300):
-            ranks = rng.choice([1, 2, 63, 64, 65, 100, 128, 300])
-            owners = rng.randint(1, 60)
-            pool, slots = _SlotPool(ranks, owners), []
-            unopened = list(range(owners))
-            if rng.random() < 0.5:
-                rng.shuffle(unopened)
-            # A small set of ranks makes owners share them; boundary ranks
-            # exercise the block edges.
-            choices = [r for r in (0, 63, 64, 127, 128, 255, ranks - 1) if r < ranks]
-            choices += rng.sample(range(ranks), min(ranks, 3))
+            n = rng.choice([1, 2, 63, 64, 65, 100, 128, 300])
+            owners = list(range(n))
+            rng.shuffle(owners)
+            pool, slots = _SlotPool(owners), []
+            unopened = list(range(n))
+            rng.shuffle(unopened)
+            # Boundary ranks, moved to the end, often open first: block edges.
+            for rank in (0, 63, 64, 127, 128, 255, n - 1):
+                if rank < n and rng.random() < 0.5:
+                    unopened.remove(rank)
+                    unopened.append(rank)
             for _ in range(rng.randint(0, 150)):
                 if unopened and rng.random() < 0.5:
-                    rank, lives = rng.choice(choices), rng.randint(1, 3)
-                    owner = unopened.pop()
-                    pool.open(rank, owner, lives)
-                    slots.append([rank, owner, lives])
+                    rank, lives = unopened.pop(), rng.randint(1, 3)
+                    pool.open(rank, lives)
+                    slots.append([rank, owners[rank], lives])
                 else:
-                    bound = rng.randint(-2, ranks + 70)
+                    bound = rng.randint(-1, n - 1)
                     best = _naive_take(slots, bound)
                     assert pool.take_best(bound) == (None if best is None else best[1])
-            assert pool.ranks() == sorted(r for r, _, lives in slots for _ in range(lives))
+            left = [owner for _, owner, lives in sorted(slots) for _ in range(lives)]
+            assert pool.owners_left() == left
+
+
+class TestSlotRanks:
+    """_slot_ranks puts _naive_take's rule (highest value <= bound, then the
+    lowest owner) into the ranks, so the pool's highest live rank <= bound
+    picks the same owner on tied values."""
+
+    def test_ties_rank_by_descending_owner(self):
+        bounds, ranks, owners = _slot_ranks([2, 1, 0, 5], [1, 2, 1, 2])
+        assert owners == [2, 0, 3, 1] and ranks == [1, 3, 0, 2]
+        assert bounds == [3, 1, -1, 3]
+
+    def test_no_slots(self):
+        assert _slot_ranks([], []) == ([], [], [])
+        assert _slot_ranks([-1.5, 0, 7], []) == ([-1, -1, -1], [], [])
+
+    @pytest.mark.parametrize("kind", ["int", "float"])
+    def test_pool_on_ranks_matches_naive(self, kind):
+        rng = random.Random(51 if kind == "int" else 52)
+
+        def value():
+            v = rng.randint(-2, 10)
+            return v if kind == "int" else v / 3
+
+        for _ in range(300):
+            n = rng.randint(0, 40)
+            values = [value() for _ in range(n)]
+            # Bounds on the same grid tie with slots; the extremes lie below
+            # and above every slot.
+            bound_values = [value() for _ in range(60)] + [-10**6, 10**6]
+            rng.shuffle(bound_values)
+            bounds, ranks, owners = _slot_ranks(bound_values, values)
+            assert sorted(ranks) == list(range(n))
+            assert [ranks[owner] for owner in owners] == list(range(n))
+            for b, v in zip(bounds, bound_values):
+                assert b == sum(slot <= v for slot in values) - 1
+            pool, slots = _SlotPool(owners), []
+            unopened = list(range(n))
+            rng.shuffle(unopened)
+            for bound, bound_value in zip(bounds, bound_values):
+                while unopened and rng.random() < 0.6:
+                    owner, lives = unopened.pop(), rng.randint(1, 3)
+                    pool.open(ranks[owner], lives)
+                    slots.append([values[owner], owner, lives])
+                best = _naive_take(slots, bound_value)
+                assert pool.take_best(bound) == (None if best is None else best[1])

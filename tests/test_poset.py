@@ -3,6 +3,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -463,14 +464,21 @@ class TestIntervalPosets:
         assert p.pairs() == [(0, 1)]
 
 
+_NON_FINITE = [math.nan, math.inf, -math.inf] + [
+    pytest.param(t(v), id=f"{t.__name__}-{v}")
+    for t in (np.float32, np.float16, np.longdouble)
+    for v in ("nan", "inf", "-inf")
+]
+
+
 class TestNonFiniteCoordinates:
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("bad", _NON_FINITE)
     def test_interval_rejects(self, bad):
         for left, right in [(bad, bad), (bad, 1), (0, bad)]:
             with pytest.raises(ValueError, match="finite"):
                 Interval(left, right)
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("bad", _NON_FINITE)
     def test_box_rejects(self, bad):
         for coords in [(bad, 0, 1, 1), (0, bad, 1, 1), (0, 0, bad, 1), (0, 0, 1, bad)]:
             with pytest.raises(ValueError, match="finite"):
@@ -479,6 +487,10 @@ class TestNonFiniteCoordinates:
     def test_finite_values_of_every_type_accepted(self):
         assert Interval(0.5, Fraction(3, 2)).right == Fraction(3, 2)
         assert Box((0, 0.25), (Fraction(1, 3), 1.0)).upper == (Fraction(1, 3), 1.0)
+        assert Interval(np.float16(0.5), np.longdouble(2)).left == 0.5
+        if np.finfo(np.longdouble).maxexp > 1024:
+            # Finite, though too large for a float.
+            assert Interval(0, np.longdouble("1e400")).left == 0
 
 
 class TestBoxPoset:

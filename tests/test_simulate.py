@@ -2,6 +2,7 @@ import csv
 import math
 import random
 
+import numpy as np
 import pytest
 
 from heapchains import (
@@ -143,6 +144,18 @@ class TestEstimateScaling:
             SimConfig(n=1, k=1, trials=0, seed=0)
         with pytest.raises(ValueError):
             SimConfig(n=1, k=1, trials=1, seed=0, mode="bogus")
+        with pytest.raises(ValueError):
+            SimConfig(n=1, k=1, trials=1, seed=-1)
+        for bad in (True, 2.5):
+            with pytest.raises(TypeError):
+                SimConfig(n=bad, k=1, trials=1, seed=0)
+        for bad in (True, 2.0):
+            with pytest.raises(TypeError):
+                SimConfig(n=1, k=1, trials=bad, seed=0)
+        for bad in (True, 1.5):
+            with pytest.raises(TypeError):
+                SimConfig(n=1, k=1, trials=1, seed=bad)
+        assert SimConfig(n=np.int64(3), k=1, trials=np.int32(2), seed=np.uint8(7)).n == 3
 
     def test_csv_rows(self, tmp_path):
         config = SimConfig(n=50, k=2, trials=4, seed=3, mode=MODE_SORTED_SET)
