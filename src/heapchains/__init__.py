@@ -31,7 +31,6 @@ from .greedy import (
     greedy_partition_set,
     insert_interval,
     signature,
-    sorted_set_order,
 )
 from .oracle import (
     TooLarge,
@@ -49,13 +48,11 @@ from .poset import (
     Interval,
     NotAPermutation,
     Poset,
-    compare_total,
     poset_from_box_set,
     poset_from_interval_sequence,
     poset_from_interval_set,
     poset_from_permutation,
     poset_from_relations,
-    total_order_key,
     verify_forest,
 )
 from .simulate import (
@@ -99,7 +96,6 @@ __all__ = [
     "best_fit_trace",
     "build_split_graph",
     "chain_signatures",
-    "compare_total",
     "dominates",
     "estimate_scaling",
     "greedy_max_heapable_subset",
@@ -123,9 +119,7 @@ __all__ = [
     "run_process",
     "sample_intervals",
     "signature",
-    "sorted_set_order",
     "sweep_partition",
-    "total_order_key",
     "trial_rng",
     "verify_forest",
     "write_trials_csv",

@@ -44,6 +44,7 @@ from .poset import (
     poset_from_box_set,
     poset_from_interval_sequence,
     poset_from_interval_set,
+    poset_from_permutation,
 )
 from .simulate import (
     MODE_SEQUENCE,
@@ -92,9 +93,9 @@ def _print_trace(trace) -> None:
 
 
 def _emit(count, forest, trace, args) -> int:
-    if getattr(args, "trace", False) and trace is not None:
+    if args.trace and trace is not None:
         _print_trace(trace)
-    if getattr(args, "witness", None):
+    if args.witness:
         formats.save_forest_json(args.witness, forest)
     print(count)
     return 0
@@ -106,15 +107,9 @@ def _cmd_kwidth(args) -> int:
     return _emit(count, forest, None, args)
 
 
-def _cmd_intervals_seq(args) -> int:
+def _cmd_intervals(partition, args) -> int:
     items = formats.load_intervals_csv(args.input)
-    count, forest, trace = greedy_partition_sequence(items, args.k)
-    return _emit(count, forest, trace, args)
-
-
-def _cmd_intervals_set(args) -> int:
-    items = formats.load_intervals_csv(args.input)
-    count, forest, trace = greedy_partition_set(items, args.k)
+    count, forest, trace = partition(items, args.k)
     return _emit(count, forest, trace, args)
 
 
@@ -149,23 +144,20 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
+_ORACLES = {  # --what: the input flag, its loader, and the answer from the input and --k
+    "kwidth": ("poset", formats.load_poset_json, oracle_k_width),
+    "maxheap": ("input", formats.load_intervals_csv, oracle_max_heapable),
+    "antichain": ("poset", formats.load_poset_json, lambda p, k: oracle_width_antichain(p)),
+    "clique": ("input", formats.load_intervals_csv, lambda items, k: max_clique_intervals(items)),
+}
+
+
 def _cmd_oracle(args) -> int:
-    if args.what == "kwidth":
-        if not args.poset:
-            raise formats.InputFormatError("oracle kwidth needs --poset")
-        print(oracle_k_width(formats.load_poset_json(args.poset), args.k))
-    elif args.what == "antichain":
-        if not args.poset:
-            raise formats.InputFormatError("oracle antichain needs --poset")
-        print(oracle_width_antichain(formats.load_poset_json(args.poset)))
-    elif args.what == "maxheap":
-        if not args.input:
-            raise formats.InputFormatError("oracle maxheap needs --input")
-        print(oracle_max_heapable(formats.load_intervals_csv(args.input), args.k))
-    else:
-        if not args.input:
-            raise formats.InputFormatError("oracle clique needs --input")
-        print(max_clique_intervals(formats.load_intervals_csv(args.input)))
+    flag, load, answer = _ORACLES[args.what]
+    path = getattr(args, flag)
+    if not path:
+        raise formats.InputFormatError(f"oracle {args.what} needs --{flag}")
+    print(answer(load(path), args.k))
     return 0
 
 
@@ -224,6 +216,16 @@ def _cmd_crosscheck(args) -> int:
             failures.append(f"sweep {got} != flow {want} (trial {trial}, k={k})")
     print(f"sweep vs flow: {args.trials} trials")
 
+    for trial in range(args.trials):
+        k = trial % 3 + 1
+        perm = list(range(rng.randint(1, 24)))
+        rng.shuffle(perm)
+        got = greedy_partition_permutation(perm, k)[0]
+        want = k_width(poset_from_permutation(perm), k)[0]
+        if got != want:
+            failures.append(f"permutation greedy {got} != flow {want} (trial {trial}, k={k})")
+    print(f"permutation greedy vs flow: {args.trials} trials")
+
     if failures:
         for line in failures:
             print(f"MISMATCH: {line}", file=sys.stderr)
@@ -245,32 +247,26 @@ def _build_parser() -> argparse.ArgumentParser:
         p.set_defaults(handler=handler)
         return p
 
-    p = add("kwidth", _cmd_kwidth, "exact k-width of a poset via max flow")
-    p.add_argument("--k", type=_positive_int, required=True)
-    p.add_argument("--poset", required=True, help="poset JSON file")
-    p.add_argument("--witness", help="write the chain forest as JSON")
-
-    for name, handler, help_text in [
-        ("intervals-seq", _cmd_intervals_seq, "greedy partition of an interval sequence"),
-        ("intervals-set", _cmd_intervals_set, "greedy partition of an interval set"),
-        ("max-heapable", _cmd_max_heapable, "largest single-chain subset of an interval set"),
-    ]:
-        p = add(name, handler, help_text)
+    def solver(name, handler, summary, flag="--input", flag_help="interval CSV file", trace=True):
+        p = add(name, handler, summary)
+        p.set_defaults(trace=False)
         p.add_argument("--k", type=_positive_int, required=True)
-        p.add_argument("--input", required=True, help="interval CSV file")
-        p.add_argument("--witness", help="write the forest as JSON")
-        p.add_argument("--trace", action="store_true", help="print one greedy event per line")
+        p.add_argument(flag, required=True, help=flag_help)
+        p.add_argument("--witness", help="write the chain forest as JSON")
+        if trace:
+            p.add_argument("--trace", action="store_true", help="print one greedy event per line")
 
-    p = add("permutation", _cmd_permutation, "greedy partition of a permutation")
-    p.add_argument("--k", type=_positive_int, required=True)
-    p.add_argument("--input", required=True, help="one integer per line")
-    p.add_argument("--witness", help="write the forest as JSON")
-    p.add_argument("--trace", action="store_true")
-
-    p = add("trapezoid", _cmd_trapezoid, "sweep-line partition of boxes")
-    p.add_argument("--k", type=_positive_int, required=True)
-    p.add_argument("--input", required=True, help="box CSV file (lx,ly,ux,uy)")
-    p.add_argument("--witness", help="write the forest as JSON")
+    solver("kwidth", _cmd_kwidth, "exact k-width of a poset via max flow",
+           flag="--poset", flag_help="poset JSON file", trace=False)
+    solver("intervals-seq", functools.partial(_cmd_intervals, greedy_partition_sequence),
+           "greedy partition of an interval sequence")
+    solver("intervals-set", functools.partial(_cmd_intervals, greedy_partition_set),
+           "greedy partition of an interval set")
+    solver("max-heapable", _cmd_max_heapable, "largest single-chain subset of an interval set")
+    solver("permutation", _cmd_permutation, "greedy partition of a permutation",
+           flag_help="one integer per line")
+    solver("trapezoid", _cmd_trapezoid, "sweep-line partition of boxes",
+           flag_help="box CSV file (lx,ly,ux,uy)", trace=False)
 
     p = add("simulate", _cmd_simulate, "Monte-Carlo scaling estimate on random intervals")
     p.add_argument("--k", type=_positive_int, required=True)
@@ -281,7 +277,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", help="write per-trial rows to this CSV file")
 
     p = add("oracle", _cmd_oracle, "brute-force reference answers (small inputs)")
-    p.add_argument("--what", choices=["kwidth", "maxheap", "antichain", "clique"], required=True)
+    p.add_argument("--what", choices=list(_ORACLES), required=True)
     p.add_argument("--k", type=_positive_int, default=1)
     p.add_argument("--poset", help="poset JSON (kwidth, antichain)")
     p.add_argument("--input", help="interval CSV (maxheap, clique)")

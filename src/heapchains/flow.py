@@ -40,19 +40,6 @@ class SplitGraph:
     k: int
     succ: tuple[int, ...]
 
-    @property
-    def adj(self) -> tuple[tuple[int, ...], ...]:
-        """Plus-side elements of each minus node, ascending (derived from ``succ``)."""
-        return tuple(tuple(y for y in range(self.n) if (mask >> y) & 1) for mask in self.succ)
-
-    @property
-    def left_capacity(self) -> int:
-        return self.k
-
-    @property
-    def right_capacity(self) -> int:
-        return 1
-
     def edge_count(self) -> int:
         return sum(mask.bit_count() for mask in self.succ)
 

@@ -37,61 +37,74 @@ def parse_exact(text: str) -> Coord:
             return int(text)
         except ValueError:
             pass
-    value = Fraction(text)
+    try:
+        value = Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator: {text!r}") from None
     return int(value) if value.denominator == 1 else value
 
 
-def _rows(path, expected_fields: int):
-    with open(path) as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            fields = [field.strip() for field in line.split(",")]
-            if len(fields) != expected_fields:
-                raise InputFormatError(
-                    f"{path}:{lineno}: expected {expected_fields} fields, got {len(fields)}"
-                )
-            try:
-                yield lineno, [parse_exact(field) for field in fields]
-            except ValueError as exc:
-                raise InputFormatError(f"{path}:{lineno}: {exc}") from exc
+def _read_text(path) -> str:
+    """The whole file, decoded as UTF-8."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return handle.read()
+    except UnicodeDecodeError as exc:
+        raise InputFormatError(f"{path}: not UTF-8: {exc}") from exc
+
+
+def _lines(path) -> list[tuple[int, str]]:
+    """(line number, stripped line) for each non-blank line."""
+    # Text mode turned \r\n and \r into \n; splitlines() would also split on
+    # \f, \v and others, and line numbers would drift from an editor's.
+    return [
+        (lineno, line)
+        for lineno, raw in enumerate(_read_text(path).split("\n"), start=1)
+        if (line := raw.strip())
+    ]
+
+
+def _json(path):
+    try:
+        return json.loads(_read_text(path))
+    except json.JSONDecodeError as exc:
+        raise InputFormatError(f"{path}: invalid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise InputFormatError(f"{path}: invalid JSON: nested too deeply") from exc
+
+
+def _rows(path, fields: int, make) -> list:
+    """``make`` applied to each line's ``fields`` comma-separated exact numbers."""
+    items = []
+    for lineno, line in _lines(path):
+        row = [field.strip() for field in line.split(",")]
+        if len(row) != fields:
+            raise InputFormatError(f"{path}:{lineno}: expected {fields} fields, got {len(row)}")
+        try:
+            items.append(make(*map(parse_exact, row)))
+        except ValueError as exc:
+            raise InputFormatError(f"{path}:{lineno}: {exc}") from exc
+    return items
 
 
 def load_intervals_csv(path) -> list[Interval]:
     """One 'left,right' pair per line."""
-    items = []
-    for lineno, row in _rows(path, 2):
-        try:
-            items.append(Interval(row[0], row[1]))
-        except ValueError as exc:
-            raise InputFormatError(f"{path}:{lineno}: {exc}") from exc
-    return items
+    return _rows(path, 2, Interval)
 
 
 def load_boxes_csv(path) -> list[Box]:
     """One 'lx,ly,ux,uy' quadruple per line."""
-    items = []
-    for lineno, row in _rows(path, 4):
-        try:
-            items.append(Box((row[0], row[1]), (row[2], row[3])))
-        except ValueError as exc:
-            raise InputFormatError(f"{path}:{lineno}: {exc}") from exc
-    return items
+    return _rows(path, 4, lambda lx, ly, ux, uy: Box((lx, ly), (ux, uy)))
 
 
 def load_permutation(path) -> list[int]:
     """One integer per line, the sequence pi(0), pi(1), ..."""
     values = []
-    with open(path) as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                values.append(int(line))
-            except ValueError as exc:
-                raise InputFormatError(f"{path}:{lineno}: not an integer: {line!r}") from exc
+    for lineno, line in _lines(path):
+        try:
+            values.append(int(line))
+        except ValueError as exc:
+            raise InputFormatError(f"{path}:{lineno}: not an integer: {line!r}") from exc
     return values
 
 
@@ -103,11 +116,7 @@ def load_poset_json(path) -> Poset:
     pairs go to ``poset_from_relations`` as parsed, which checks them in the
     same pass that builds the masks.
     """
-    with open(path) as handle:
-        try:
-            data = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise InputFormatError(f"{path}: invalid JSON: {exc}") from exc
+    data = _json(path)
     try:
         return poset_from_relations(data["n"], data["relations"])
     except (CycleError, IdOutOfRange):
@@ -120,7 +129,7 @@ def load_poset_json(path) -> Poset:
 
 def save_poset_json(path, poset: Poset) -> None:
     obj = {"n": poset.n, "relations": [list(p) for p in poset.pairs()]}
-    with open(path, "w") as handle:
+    with open(path, "w", encoding="utf-8") as handle:
         # json.dumps runs the C encoder; json.dump always runs the Python one.
         handle.write(json.dumps(obj) + "\n")
 
@@ -133,7 +142,7 @@ def save_forest_json(path, forest: HeapForest) -> None:
         if forest.parent[child] is not None
     }
     obj = {"k": forest.k, "roots": list(forest.roots), "parent": parent}
-    with open(path, "w") as handle:
+    with open(path, "w", encoding="utf-8") as handle:
         handle.write(json.dumps(obj) + "\n")
 
 
@@ -143,11 +152,7 @@ def load_forest_json(path) -> HeapForest:
     ``int`` would coerce, are rejected), and that no node is listed both as a
     root and as a child; whether the forest is a valid partition of some poset
     is left to ``verify_forest``."""
-    with open(path) as handle:
-        try:
-            data = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise InputFormatError(f"{path}: invalid JSON: {exc}") from exc
+    data = _json(path)
     try:
         parent: dict[int, int | None] = {_element_id(root): None for root in data["roots"]}
         # Object keys are always strings in JSON: each must read back as the id it names.

@@ -103,8 +103,9 @@ def insert_interval(
     return tuple(values), consumed
 
 
-def _set_order(lefts: Sequence[int], rights: Sequence[int]) -> list[int]:
-    return sorted(range(len(lefts)), key=lambda i: (rights[i], lefts[i]))
+def _set_order(lefts, rights) -> np.ndarray:
+    """Item ids in interval-set order: right endpoint, then left, then id."""
+    return np.lexsort((lefts, rights))
 
 
 def _slot_ranks(bounds, slots) -> tuple[list[int], list[int], list[int]]:
@@ -209,13 +210,21 @@ def best_fit_trace(forest: HeapForest, order: Iterable, slots: Sequence) -> tupl
     )
 
 
-def _interval_best_fit(items: Sequence[Interval], k: int, set_order: bool) -> tuple:
+def _ranked_intervals(items: Sequence[Interval], k: int, set_order: bool) -> tuple:
+    """The order items are taken in (a set's items must not repeat a point)
+    and ``_slot_ranks`` of their endpoints, ranked once; k is checked."""
     _check_arity(k)
     lefts, rights = _interval_ranks(items)
+    order = range(len(items))
     if set_order:
         _check_distinct_points((lefts,), (rights,))
-    order = _set_order(lefts, rights) if set_order else range(len(items))
-    count, parent, _ = _best_fit(order, *_slot_ranks(lefts, rights), k)
+        order = _set_order(lefts, rights).tolist()
+    return order, _slot_ranks(lefts, rights)
+
+
+def _interval_best_fit(items: Sequence[Interval], k: int, set_order: bool) -> tuple:
+    order, slots = _ranked_intervals(items, k, set_order)
+    count, parent, _ = _best_fit(order, *slots, k)
     forest = HeapForest(k, {i: parent[i] for i in order})
     return count, forest, best_fit_trace(forest, order, [item.right for item in items])
 
@@ -225,11 +234,6 @@ def greedy_partition_sequence(
 ) -> tuple[int, HeapForest, tuple[TraceStep, ...]]:
     """Minimum partition of an interval sequence into k-ary chains (best fit)."""
     return _interval_best_fit(items, k, set_order=False)
-
-
-def sorted_set_order(items: Sequence[Interval]) -> list[int]:
-    """Item ids in the total order: right endpoint, then left, then input index."""
-    return _set_order(*_interval_ranks(items))
 
 
 def greedy_partition_set(
@@ -264,11 +268,7 @@ def greedy_max_heapable_subset(
     items either attach best-fit or are rejected outright (rejected items
     never open slots).  Two equal point intervals raise CycleError.
     """
-    _check_arity(k)
-    lefts, rights = _interval_ranks(items)
-    _check_distinct_points((lefts,), (rights,))
-    order = _set_order(lefts, rights)
-    bounds, ranks, owners = _slot_ranks(lefts, rights)
+    order, (bounds, ranks, owners) = _ranked_intervals(items, k, set_order=True)
     pool = _SlotPool(owners)
     parent: dict[int, Optional[int]] = {}
     for i in order:

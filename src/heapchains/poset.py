@@ -309,20 +309,6 @@ def poset_from_box_set(items: Sequence[Box]) -> Poset:
     return _dominance_poset((xs[:n], ys[:n]), (xs[n:], ys[n:]))
 
 
-def compare_total(i1: Interval, i2: Interval) -> int:
-    """Total order on intervals: right endpoint first, then left.
-
-    Returns a negative / zero / positive int like the old cmp convention.
-    """
-    a, b = total_order_key(i1), total_order_key(i2)
-    return (a > b) - (a < b)
-
-
-def total_order_key(item: Interval) -> tuple[Coord, Coord]:
-    """Sort key realizing compare_total; stable sorts break ties by index."""
-    return (item.right, item.left)
-
-
 @dataclass(frozen=True)
 class HeapForest:
     """Partition of elements into rooted trees with at most k children per node.
@@ -332,10 +318,6 @@ class HeapForest:
 
     k: int
     parent: Mapping[int, Optional[int]]
-
-    @property
-    def elements(self) -> tuple[int, ...]:
-        return tuple(sorted(self.parent))
 
     @property
     def roots(self) -> tuple[int, ...]:

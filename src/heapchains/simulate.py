@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .greedy import _best_fit, _slot_ranks
+from .greedy import _best_fit, _set_order, _slot_ranks
 from .poset import Interval, _check_arity, _element_id
 
 MODE_SEQUENCE = "seq"
@@ -121,7 +121,7 @@ def estimate_scaling(config: SimConfig) -> SimStats:
     for trial in range(config.trials):
         lefts, rights = _split_pairs(trial_rng(config.seed, trial).random(2 * config.n))
         if config.mode == MODE_SORTED_SET:
-            order = np.lexsort((lefts, rights))  # by right, then left; stable
+            order = _set_order(lefts, rights)
             lefts, rights = lefts[order], rights[order]
         counts.append(_best_fit(range(config.n), *_slot_ranks(lefts, rights), config.k)[0])
     mean = statistics.fmean(counts)
@@ -133,7 +133,7 @@ def estimate_scaling(config: SimConfig) -> SimStats:
 
 def write_trials_csv(path, config: SimConfig, stats: SimStats) -> None:
     """One row per trial: trial, n, k, mode, count, normalized."""
-    with open(path, "w", newline="") as handle:
+    with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(["trial", "n", "k", "mode", "count", "normalized"])
         for trial, count in enumerate(stats.counts):

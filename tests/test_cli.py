@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -68,6 +69,29 @@ class TestFormats:
         path.write_text("5,2\n")
         with pytest.raises(formats.InputFormatError, match=r"iv\.csv:1"):
             formats.load_intervals_csv(path)
+
+    @pytest.mark.parametrize(
+        "load, data, where",
+        [
+            (formats.load_intervals_csv, b"1,2\n1/0,3\n", ":2: zero denominator"),
+            (formats.load_boxes_csv, b"0,0,1,1\n0,0,2,1/0\n", ":2: zero denominator"),
+            (formats.load_intervals_csv, b"1,2\n\xff,3\n", ": not UTF-8"),
+            (formats.load_boxes_csv, b"0,0,1,1\n\xff\n", ": not UTF-8"),
+            (formats.load_permutation, b"0\n\xff\n", ": not UTF-8"),
+            (formats.load_poset_json, b'{"n": 1, "relations": [], "\xff": 0}', ": not UTF-8"),
+            (formats.load_forest_json, b'{"k": 1, "roots": [0], "parent": {"\xff": 0}}',
+             ": not UTF-8"),
+            (formats.load_poset_json, b"[" * 100_000 + b"]" * 100_000, ": invalid JSON"),
+            (formats.load_forest_json, b'{"k": ' + b"[" * 100_000, ": invalid JSON"),
+        ],
+        ids=["intervals-1/0", "boxes-1/0", "intervals-utf8", "boxes-utf8", "permutation-utf8",
+             "poset-utf8", "forest-utf8", "poset-nested", "forest-nested"],
+    )
+    def test_unreadable_file_names_file(self, tmp_path, load, data, where):
+        path = tmp_path / "bad"
+        path.write_bytes(data)
+        with pytest.raises(formats.InputFormatError, match=re.escape(f"{path}{where}")):
+            load(path)
 
     def test_boxes_roundtrip(self, tmp_path):
         path = tmp_path / "bx.csv"
@@ -269,6 +293,7 @@ class TestCliCommands:
         assert run(["crosscheck", "--trials", "12", "--seed", "7"]) == 0
         out = capsys.readouterr().out
         assert "sweep vs flow: 12 trials" in out and "all checks passed" in out
+        assert "permutation greedy vs flow: 12 trials" in out
 
     def test_deterministic_stdout(self, capsys, s1_csv):
         run(["intervals-seq", "--k", "2", "--input", s1_csv, "--trace"])
@@ -297,6 +322,21 @@ class TestCliErrors:
         path.write_text("1,2\nbroken\n")
         assert run(["intervals-seq", "--k", "2", "--input", str(path)]) == 2
         assert "iv.csv:2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, name, data",
+        [
+            (["intervals-seq", "--k", "2", "--input"], "iv.csv", b"1,2\n1/0,3\n"),
+            (["trapezoid", "--k", "1", "--input"], "bx.csv", b"0,0,1,1\n\xff\n"),
+            (["kwidth", "--k", "1", "--poset"], "p.json", b"[" * 100_000),
+        ],
+        ids=["zero-denominator", "not-utf8", "nested-json"],
+    )
+    def test_unreadable_file_exit_2(self, capsys, tmp_path, argv, name, data):
+        path = tmp_path / name
+        path.write_bytes(data)
+        assert run(argv + [str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}")
 
     def test_cyclic_poset_exit_2(self, capsys, tmp_path):
         path = tmp_path / "p.json"

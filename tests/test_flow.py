@@ -37,9 +37,9 @@ def antichain(n):
 class TestSplitGraph:
     def test_chain_closure_edges(self):
         g = build_split_graph(chain(3), 2)
-        assert g.adj == ((1, 2), (2,), ())
+        assert g.succ == (0b110, 0b100, 0)
         assert g.edge_count() == 3
-        assert g.left_capacity == 2 and g.right_capacity == 1
+        assert g.k == 2
 
     def test_antichain_no_edges(self):
         assert build_split_graph(antichain(4), 1).edge_count() == 0
@@ -61,7 +61,8 @@ class TestSplitGraph:
             g = build_split_graph(p, rng.randint(1, 3))
             assert g.succ is p.successor_masks
             assert g.edge_count() == p.relation_count()
-            assert g.adj == tuple(tuple(p.successors(x)) for x in range(p.n))
+            for x in range(p.n):
+                assert [y for y in range(p.n) if g.succ[x] >> y & 1] == p.successors(x)
 
 
 class TestMatching:

@@ -31,7 +31,6 @@ from heapchains import (
     poset_from_interval_set,
     poset_from_permutation,
     signature,
-    sorted_set_order,
     sweep_partition,
     verify_forest,
 )
@@ -497,7 +496,6 @@ class TestNaiveReference:
             items = [Interval(*sorted((_tied_coord(rng), _tied_coord(rng)))) for _ in range(n)]
             k = rng.choice(self.KS)
             by_total = sorted(range(n), key=lambda i: (items[i].right, items[i].left))
-            assert sorted_set_order(items) == by_total
 
             parent, trace = _naive_intervals(items, range(n), k)
             count, forest, got = greedy_partition_sequence(items, k)

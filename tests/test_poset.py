@@ -16,7 +16,6 @@ from heapchains import (
     IdOutOfRange,
     Interval,
     NotAPermutation,
-    compare_total,
     greedy_max_heapable_subset,
     greedy_partition_permutation,
     greedy_partition_set,
@@ -505,28 +504,6 @@ class TestBoxPoset:
     def test_touching_corners_comparable(self):
         p = poset_from_box_set([Box((0, 0), (1, 1)), Box((1, 1), (2, 2))])
         assert p.pairs() == [(0, 1)]
-
-
-class TestCompareTotal:
-    def test_right_endpoint_first(self):
-        assert compare_total(Interval(0, 1), Interval(0, 2)) < 0
-
-    def test_left_breaks_right_ties(self):
-        assert compare_total(Interval(0, 2), Interval(1, 2)) < 0
-
-    def test_equal(self):
-        assert compare_total(Interval(3, 5), Interval(3, 5)) == 0
-
-    @given(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)), min_size=3, max_size=3))
-    @settings(max_examples=300)
-    def test_total_order_laws(self, raw):
-        a, b, c = [Interval(min(x, y), max(x, y)) for x, y in raw]
-        # trichotomy with antisymmetry
-        assert (compare_total(a, b) == 0) == ((a.left, a.right) == (b.left, b.right))
-        assert compare_total(a, b) == -compare_total(b, a)
-        # transitivity
-        if compare_total(a, b) <= 0 and compare_total(b, c) <= 0:
-            assert compare_total(a, c) <= 0
 
 
 class TestVerifyForest:
