@@ -92,7 +92,7 @@ def _print_trace(trace) -> None:
             print(f"item {step.item}: rejected")
 
 
-def _emit(count, forest, trace, args) -> int:
+def _emit(count, forest, trace=None, *, args) -> int:
     if args.trace and trace is not None:
         _print_trace(trace)
     if args.witness:
@@ -101,16 +101,9 @@ def _emit(count, forest, trace, args) -> int:
     return 0
 
 
-def _cmd_kwidth(args) -> int:
-    poset = formats.load_poset_json(args.poset)
-    count, forest = k_width(poset, args.k)
-    return _emit(count, forest, None, args)
-
-
-def _cmd_intervals(partition, args) -> int:
-    items = formats.load_intervals_csv(args.input)
-    count, forest, trace = partition(items, args.k)
-    return _emit(count, forest, trace, args)
+def _cmd_solve(load, solve, args) -> int:
+    """Load ``--input``, solve at ``--k`` and emit (count, forest[, trace])."""
+    return _emit(*solve(load(args.input), args.k), args=args)
 
 
 def _cmd_max_heapable(args) -> int:
@@ -118,20 +111,14 @@ def _cmd_max_heapable(args) -> int:
     subset, forest, trace = greedy_max_heapable_subset(items, args.k)
     if subset:
         print("subset:", " ".join(str(i) for i in subset))
-    return _emit(len(subset), forest, trace, args)
+    return _emit(len(subset), forest, trace, args=args)
 
 
 def _cmd_permutation(args) -> int:
     perm = formats.load_permutation(args.input)
     count, forest = greedy_partition_permutation(perm, args.k)
     trace = best_fit_trace(forest, perm, range(len(perm))) if args.trace else None
-    return _emit(count, forest, trace, args)
-
-
-def _cmd_trapezoid(args) -> int:
-    boxes = formats.load_boxes_csv(args.input)
-    count, forest = sweep_partition(boxes, args.k)
-    return _emit(count, forest, None, args)
+    return _emit(count, forest, trace, args=args)
 
 
 def _cmd_simulate(args) -> int:
@@ -173,31 +160,29 @@ def _cmd_crosscheck(args) -> int:
     rng = random.Random(args.seed)
     failures = []
 
+    def compare(solver, got, reference, want, trial, k):
+        if got != want:
+            failures.append(f"{solver} {got} != {reference} {want} (trial {trial}, k={k})")
+
     for trial in range(args.trials):
         k = trial % 3 + 1
         items = _random_intervals(rng, rng.randint(1, 24))
-        got = greedy_partition_sequence(items, k)[0]
-        want = k_width(poset_from_interval_sequence(items), k)[0]
-        if got != want:
-            failures.append(f"sequence greedy {got} != flow {want} (trial {trial}, k={k})")
+        compare("sequence greedy", greedy_partition_sequence(items, k)[0],
+                "flow", k_width(poset_from_interval_sequence(items), k)[0], trial, k)
         try:
             poset = poset_from_interval_set(items)
         except CycleError:
             continue
-        got = greedy_partition_set(items, k)[0]
-        want = k_width(poset, k)[0]
-        if got != want:
-            failures.append(f"set greedy {got} != flow {want} (trial {trial}, k={k})")
+        compare("set greedy", greedy_partition_set(items, k)[0],
+                "flow", k_width(poset, k)[0], trial, k)
     print(f"greedy vs flow: {args.trials} trials")
 
     for trial in range(args.trials):
         k = trial % 3 + 1
         n = rng.randint(1, 200)
-        count = run_process(n, k, trial_rng(args.seed + trial, 0))[0]
         items = sample_intervals(trial_rng(args.seed + trial, 0), n)
-        got = greedy_partition_sequence(items, k)[0]
-        if count != got:
-            failures.append(f"process {count} != greedy {got} (trial {trial}, k={k})")
+        compare("process", run_process(n, k, trial_rng(args.seed + trial, 0))[0],
+                "greedy", greedy_partition_sequence(items, k)[0], trial, k)
     print(f"process vs greedy: {args.trials} trials")
 
     for trial in range(args.trials):
@@ -210,20 +195,15 @@ def _cmd_crosscheck(args) -> int:
             poset = poset_from_box_set(boxes)
         except CycleError:
             continue
-        got = sweep_partition(boxes, k)[0]
-        want = k_width(poset, k)[0]
-        if got != want:
-            failures.append(f"sweep {got} != flow {want} (trial {trial}, k={k})")
+        compare("sweep", sweep_partition(boxes, k)[0], "flow", k_width(poset, k)[0], trial, k)
     print(f"sweep vs flow: {args.trials} trials")
 
     for trial in range(args.trials):
         k = trial % 3 + 1
         perm = list(range(rng.randint(1, 24)))
         rng.shuffle(perm)
-        got = greedy_partition_permutation(perm, k)[0]
-        want = k_width(poset_from_permutation(perm), k)[0]
-        if got != want:
-            failures.append(f"permutation greedy {got} != flow {want} (trial {trial}, k={k})")
+        compare("permutation greedy", greedy_partition_permutation(perm, k)[0],
+                "flow", k_width(poset_from_permutation(perm), k)[0], trial, k)
     print(f"permutation greedy vs flow: {args.trials} trials")
 
     if failures:
@@ -251,22 +231,26 @@ def _build_parser() -> argparse.ArgumentParser:
         p = add(name, handler, summary)
         p.set_defaults(trace=False)
         p.add_argument("--k", type=_positive_int, required=True)
-        p.add_argument(flag, required=True, help=flag_help)
+        p.add_argument(flag, dest="input", metavar=flag[2:].upper(), required=True, help=flag_help)
         p.add_argument("--witness", help="write the chain forest as JSON")
         if trace:
             p.add_argument("--trace", action="store_true", help="print one greedy event per line")
 
-    solver("kwidth", _cmd_kwidth, "exact k-width of a poset via max flow",
+    def plain(load, solve):
+        return functools.partial(_cmd_solve, load, solve)
+
+    solver("kwidth", plain(formats.load_poset_json, k_width),
+           "exact k-width of a poset via max flow",
            flag="--poset", flag_help="poset JSON file", trace=False)
-    solver("intervals-seq", functools.partial(_cmd_intervals, greedy_partition_sequence),
+    solver("intervals-seq", plain(formats.load_intervals_csv, greedy_partition_sequence),
            "greedy partition of an interval sequence")
-    solver("intervals-set", functools.partial(_cmd_intervals, greedy_partition_set),
+    solver("intervals-set", plain(formats.load_intervals_csv, greedy_partition_set),
            "greedy partition of an interval set")
     solver("max-heapable", _cmd_max_heapable, "largest single-chain subset of an interval set")
     solver("permutation", _cmd_permutation, "greedy partition of a permutation",
            flag_help="one integer per line")
-    solver("trapezoid", _cmd_trapezoid, "sweep-line partition of boxes",
-           flag_help="box CSV file (lx,ly,ux,uy)", trace=False)
+    solver("trapezoid", plain(formats.load_boxes_csv, sweep_partition),
+           "sweep-line partition of boxes", flag_help="box CSV file (lx,ly,ux,uy)", trace=False)
 
     p = add("simulate", _cmd_simulate, "Monte-Carlo scaling estimate on random intervals")
     p.add_argument("--k", type=_positive_int, required=True)

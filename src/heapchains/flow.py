@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .poset import HeapForest, Poset, _check_arity
+from .poset import HeapForest, Poset, _check_arity, verify_forest
 
 
 class InvalidMatching(ValueError):
@@ -128,21 +128,20 @@ def max_left_k_matching(graph: SplitGraph) -> LeftKMatching:
 def matching_to_partition(poset: Poset, matching: LeftKMatching) -> HeapForest:
     """Forest with parent(y) = x for each chosen edge; unmatched elements are roots.
 
-    Raises InvalidMatching when an edge is outside the split graph or a degree
-    bound is exceeded.
+    Raises InvalidMatching on an id outside 0..n-1, on a second parent, and
+    unless ``verify_forest`` accepts the forest (edges in the poset, <= k children).
     """
     parent: dict[int, int | None] = dict.fromkeys(range(poset.n))
-    out_degree = [0] * poset.n
     for x, y in sorted(matching.edges):
-        if not poset.less(x, y):
-            raise InvalidMatching(f"edge ({x}, {y}) not present in the split graph")
+        if x not in parent or y not in parent:
+            raise InvalidMatching(f"edge ({x}, {y}) names an id outside 0..{poset.n - 1}")
         if parent[y] is not None:
             raise InvalidMatching(f"element {y} matched to two parents")
-        out_degree[x] += 1
-        if out_degree[x] > matching.k:
-            raise InvalidMatching(f"element {x} matched to more than k={matching.k} children")
         parent[y] = x
-    return HeapForest(matching.k, parent)
+    forest = HeapForest(matching.k, parent)
+    if not verify_forest(poset, forest, matching.k):
+        raise InvalidMatching(f"edges leave the split graph or exceed k={matching.k} children")
+    return forest
 
 
 def k_width(poset: Poset, k: int) -> tuple[int, HeapForest]:

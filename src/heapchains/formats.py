@@ -8,6 +8,8 @@ inputs.
 from __future__ import annotations
 
 import json
+import re
+import sys
 from fractions import Fraction
 
 from .poset import (
@@ -23,13 +25,17 @@ from .poset import (
     poset_from_relations,
 )
 
+_EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)  # Fraction's exponent
+
 
 class InputFormatError(ValueError):
     """Malformed input file; message names the file and line."""
 
 
 def parse_exact(text: str) -> Coord:
-    """Exact numeric parse of a decimal string; integers stay ints."""
+    """Exact numeric parse of a decimal string; integers stay ints.  As in
+    ``int()``, more than ``sys.get_int_max_str_digits()`` digits in the numerator
+    or denominator raise ValueError; an exponent is judged before its power."""
     # int() accepts a subset of the strings Fraction() does, with the same
     # value, and is much faster; a decimal point would only make it raise.
     if "." not in text:
@@ -37,10 +43,16 @@ def parse_exact(text: str) -> Coord:
             return int(text)
         except ValueError:
             pass
+    limit = sys.get_int_max_str_digits()
+    exponent = limit and ("e" in text or "E" in text) and _EXPONENT.search(text)
+    if exponent and abs(int(exponent[1])) > limit + len(text):
+        raise ValueError(f"exponent too large: the value exceeds the {limit}-digit limit")
     try:
         value = Fraction(text)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator: {text!r}") from None
+    if exponent or 0 < limit < len(text):  # else neither has more digits than text
+        str(value.numerator), str(value.denominator)  # str() raises past the limit, as int() does
     return int(value) if value.denominator == 1 else value
 
 
@@ -127,11 +139,14 @@ def load_poset_json(path) -> Poset:
         ) from exc
 
 
-def save_poset_json(path, poset: Poset) -> None:
-    obj = {"n": poset.n, "relations": [list(p) for p in poset.pairs()]}
+def _write_json(path, obj) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         # json.dumps runs the C encoder; json.dump always runs the Python one.
         handle.write(json.dumps(obj) + "\n")
+
+
+def save_poset_json(path, poset: Poset) -> None:
+    _write_json(path, {"n": poset.n, "relations": [list(p) for p in poset.pairs()]})
 
 
 def save_forest_json(path, forest: HeapForest) -> None:
@@ -141,9 +156,7 @@ def save_forest_json(path, forest: HeapForest) -> None:
         for child in sorted(forest.parent)
         if forest.parent[child] is not None
     }
-    obj = {"k": forest.k, "roots": list(forest.roots), "parent": parent}
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(json.dumps(obj) + "\n")
+    _write_json(path, {"k": forest.k, "roots": list(forest.roots), "parent": parent})
 
 
 def load_forest_json(path) -> HeapForest:

@@ -14,14 +14,14 @@ Slot multisets are plain iterables of exact numeric values; signatures are
 sorted tuples.
 
 The partition algorithms rank all endpoints once, exactly, into
-order-isomorphic ints, and ``_slot_ranks`` gives every slot owner its own
-rank with the tie rule built in, so one counted slot pool keeps a rank per
-owner plus its unused lives.  Best fit therefore compares only ints, and
-its cost does not depend on k.  One loop, ``_best_fit``, serves the
-partitions and the particle process of ``heapchains.simulate``; the
-max-heapable subset and the sweep line of ``heapchains.sweep`` keep their
-own loops on the same pool.  Every trace comes from ``best_fit_trace``,
-which reports slots by original coordinate.
+order-isomorphic ints.  One counted slot pool, ``_SlotPool``, ranks each
+item's bound and slot value itself, one rank per owner with the tie rule
+built in, and keeps each rank's unused lives; callers name items, never
+ranks.  Best fit compares only ints, and its cost does not depend on k.
+One loop, ``_best_fit``, serves the partitions and the particle process of
+``heapchains.simulate``; the max-heapable subset and the sweep line of
+``heapchains.sweep`` keep their own loops on the same pool.  Every trace
+comes from ``best_fit_trace``, which reports slots by original coordinate.
 """
 
 from __future__ import annotations
@@ -108,49 +108,44 @@ def _set_order(lefts, rights) -> np.ndarray:
     return np.lexsort((lefts, rights))
 
 
-def _slot_ranks(bounds, slots) -> tuple[list[int], list[int], list[int]]:
-    """Rank the owners by slot value, equal values by descending owner id, so
-    rank r belongs to ``owners[r]`` and owner i holds ``ranks[i]``; each bound
-    becomes the highest rank whose value does not exceed it (-1 if none).
-    The highest live rank at or below a bound is then the lowest owner among
-    the highest values that fit: the one place this tie rule is written."""
-    slots = np.asarray(slots)
-    owners = np.lexsort((-np.arange(len(slots)), slots))
-    ranks = np.empty_like(owners)
-    ranks[owners] = np.arange(len(owners))
-    bounds = np.searchsorted(slots[owners], bounds, side="right") - 1
-    return bounds.tolist(), ranks.tolist(), owners.tolist()
-
-
 class _SlotPool:
-    """Open slots: live ranks, rank r owned by ``owners[r]``, with a count of
-    unused lives per rank, so no operation's cost depends on the lives count.
-
-    Best fit takes the highest live rank at or below a bound.  Live ranks
-    are bits of 64-bit block ints, and a summary int has a bit for each
-    non-empty block, so finding that rank takes one mask and ``bit_length``
-    on a block and at most one more on the summary.
+    """Open slots of items: item i takes below ``bounds[i]`` and opens slots
+    valued at ``slots[i]``.  Owners rank by slot value, equal values by
+    descending id, and each bound becomes the highest rank whose value does
+    not exceed it (-1 if none), so the highest live rank at or below a bound
+    is the lowest owner among the highest values that fit: the one place
+    this tie rule is written.  Each rank counts its unused lives.  Live ranks
+    are bits of 64-bit block ints under a summary int with a bit per
+    non-empty block, so a take costs at most two masks and ``bit_length``s.
     """
 
-    __slots__ = ("_blocks", "_summary", "_owners", "_lives")
+    __slots__ = ("_blocks", "_summary", "_bounds", "_ranks", "_owners", "_lives")
 
-    def __init__(self, owners: Sequence[int]):
+    def __init__(self, bounds, slots):
+        slots = np.asarray(slots)
+        owners = np.lexsort((-np.arange(len(slots)), slots))
+        ranks = np.empty_like(owners)
+        ranks[owners] = np.arange(len(owners))
+        self._bounds = (np.searchsorted(slots[owners], bounds, side="right") - 1).tolist()
+        self._ranks = ranks.tolist()
+        self._owners = owners.tolist()
         self._blocks = [0] * ((len(owners) + 63) >> 6)
         self._summary = 0
-        self._owners = owners
         self._lives = [0] * len(owners)
 
-    def open(self, rank: int, lives: int) -> None:
-        """Give the owner of rank (which must not be open yet) ``lives`` slots."""
+    def open(self, item: int, lives: int) -> None:
+        """Give item, whose slots are not open yet, ``lives`` slots."""
+        rank = self._ranks[item]
         self._lives[rank] = lives
-        block = rank >> 6
-        if not self._blocks[block]:
+        blocks, block = self._blocks, rank >> 6
+        if not blocks[block]:
             self._summary |= 1 << block
-        self._blocks[block] |= 1 << (rank & 63)
+        blocks[block] |= 1 << (rank & 63)
 
-    def take_best(self, bound: int) -> Optional[int]:
-        """Spend one life of the highest live rank at or below bound (a rank,
-        at least -1); return its owner, or None when no rank fits."""
+    def take_best(self, item: int) -> Optional[int]:
+        """Spend a life of item's best slot (the highest value at or below its
+        bound, then the lowest owner); return the owner, or None if none fits."""
+        bound = self._bounds[item]
         if bound < 0:
             return None
         blocks = self._blocks
@@ -177,22 +172,17 @@ class _SlotPool:
         return [owners[rank] for rank, lives in enumerate(self._lives) for _ in range(lives)]
 
 
-def _best_fit(order, bounds, ranks, owners, k: int) -> tuple[int, list, _SlotPool]:
-    """Item i of ``order`` spends a life of the best slot at or below
-    ``bounds[i]``, or starts a chain, then opens k slots at ``ranks[i]``
-    (see ``_slot_ranks``).  Returns the new-chain count, the parent of each
-    item (a list indexed by item, None for roots) and the pool of unused
-    slots."""
-    pool = _SlotPool(owners)
+def _best_fit(order, pool: _SlotPool, k: int) -> tuple[int, list]:
+    """Each item of ``order`` (every item, once) spends a life of its best slot
+    in ``pool``, or starts a chain, then opens k slots.  Returns the new-chain
+    count and the parent of each item (a list indexed by item, None for
+    roots); the pool keeps the unused slots."""
     take_best, open_slots = pool.take_best, pool.open
-    parent = [None] * len(ranks)
-    count = 0
+    parent = [None] * len(order)
     for i in order:
-        owner = parent[i] = take_best(bounds[i])
-        if owner is None:
-            count += 1
-        open_slots(ranks[i], k)
-    return count, parent, pool
+        parent[i] = take_best(i)
+        open_slots(i, k)
+    return parent.count(None), parent
 
 
 def best_fit_trace(forest: HeapForest, order: Iterable, slots: Sequence) -> tuple[TraceStep, ...]:
@@ -212,19 +202,19 @@ def best_fit_trace(forest: HeapForest, order: Iterable, slots: Sequence) -> tupl
 
 def _ranked_intervals(items: Sequence[Interval], k: int, set_order: bool) -> tuple:
     """The order items are taken in (a set's items must not repeat a point)
-    and ``_slot_ranks`` of their endpoints, ranked once; k is checked."""
+    and the slot pool of their endpoints, ranked once; k is checked."""
     _check_arity(k)
     lefts, rights = _interval_ranks(items)
     order = range(len(items))
     if set_order:
         _check_distinct_points((lefts,), (rights,))
         order = _set_order(lefts, rights).tolist()
-    return order, _slot_ranks(lefts, rights)
+    return order, _SlotPool(lefts, rights)
 
 
 def _interval_best_fit(items: Sequence[Interval], k: int, set_order: bool) -> tuple:
-    order, slots = _ranked_intervals(items, k, set_order)
-    count, parent, _ = _best_fit(order, *slots, k)
+    order, pool = _ranked_intervals(items, k, set_order)
+    count, parent = _best_fit(order, pool, k)
     forest = HeapForest(k, {i: parent[i] for i in order})
     return count, forest, best_fit_trace(forest, order, [item.right for item in items])
 
@@ -253,9 +243,8 @@ def greedy_partition_permutation(perm: Sequence[int], k: int) -> tuple[int, Heap
     """
     _check_arity(k)
     seq = _check_permutation(perm)
-    # The values are their own ranks, owners and item ids; value v takes below v.
-    ids = range(len(seq))
-    count, parent, _ = _best_fit(seq, range(-1, len(seq) - 1), ids, ids, k)
+    # Value v is its own item id and slot value, and takes below v.
+    count, parent = _best_fit(seq, _SlotPool(np.arange(-1, len(seq) - 1), np.arange(len(seq))), k)
     return count, HeapForest(k, {value: parent[value] for value in seq})
 
 
@@ -268,15 +257,14 @@ def greedy_max_heapable_subset(
     items either attach best-fit or are rejected outright (rejected items
     never open slots).  Two equal point intervals raise CycleError.
     """
-    order, (bounds, ranks, owners) = _ranked_intervals(items, k, set_order=True)
-    pool = _SlotPool(owners)
+    order, pool = _ranked_intervals(items, k, set_order=True)
     parent: dict[int, Optional[int]] = {}
     for i in order:
-        owner = pool.take_best(bounds[i])
+        owner = pool.take_best(i)
         if owner is None and parent:
             continue  # not _best_fit: a rejected item opens no slots
         parent[i] = owner
-        pool.open(ranks[i], k)
+        pool.open(i, k)
     forest = HeapForest(k, parent)
     trace = best_fit_trace(forest, order, [item.right for item in items])
     return tuple(sorted(parent)), forest, trace

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import numbers
 import operator
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence, Union
@@ -165,6 +166,8 @@ def poset_from_relations(n: int, pairs: Iterable[tuple[int, int]]) -> Poset:
         n = _element_id(n)
     if n < 0:
         raise ValueError(f"element count must be >= 0, got {n}")
+    if n > sys.maxsize:
+        raise ValueError(f"element count {n} is too large to index a list")
     direct = [0] * n
     for x, y in pairs:
         if x.__class__ is not int:

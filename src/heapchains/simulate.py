@@ -9,10 +9,11 @@ counts match ``greedy_partition_sequence`` exactly; sorting arrivals by
 (right, left) before feeding the process gives the set variant.
 
 Each trial runs the process as the best-fit loop of ``heapchains.greedy``
-(``_best_fit``), with one slot owner per arrival: ``_slot_ranks`` ranks the
-raw float draws directly and exactly, and settles ties between equal
-particles.  Set mode only changes the order in which arrivals are taken;
-``run_process`` reads the final particles back from the arrivals' floats.
+(``_best_fit``) on one slot pool per trial, with one slot owner per arrival:
+``_SlotPool`` ranks the raw float draws directly and exactly, and settles
+ties between equal particles.  Set mode only changes the order in which
+arrivals are taken; ``run_process`` reads the final particles back from the
+arrivals' floats.
 
 Each trial derives its own generator from the root seed by a counter-based
 spawn, so trial order never affects results.
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .greedy import _best_fit, _set_order, _slot_ranks
+from .greedy import _SlotPool, _best_fit, _set_order
 from .poset import Interval, _check_arity, _element_id
 
 MODE_SEQUENCE = "seq"
@@ -93,7 +94,7 @@ def _split_pairs(draws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _chain_count(pairs, k: int) -> int:
     """New chains the process starts on float (left, right) pairs, in order."""
     lefts, rights = _split_pairs(np.asarray(pairs, dtype=float).reshape(-1))
-    return _best_fit(range(len(lefts)), *_slot_ranks(lefts, rights), k)[0]
+    return _best_fit(range(len(lefts)), _SlotPool(lefts, rights), k)[0]
 
 
 def run_process(n: int, k: int, rng: np.random.Generator) -> tuple[int, tuple[float, ...]]:
@@ -104,7 +105,8 @@ def run_process(n: int, k: int, rng: np.random.Generator) -> tuple[int, tuple[fl
     """
     _check_arity(k)
     lefts, rights = _split_pairs(rng.random(2 * n))
-    count, _, pool = _best_fit(range(n), *_slot_ranks(lefts, rights), k)
+    pool = _SlotPool(lefts, rights)
+    count = _best_fit(range(n), pool, k)[0]
     return count, tuple(rights[pool.owners_left()].tolist())
 
 
@@ -123,7 +125,7 @@ def estimate_scaling(config: SimConfig) -> SimStats:
         if config.mode == MODE_SORTED_SET:
             order = _set_order(lefts, rights)
             lefts, rights = lefts[order], rights[order]
-        counts.append(_best_fit(range(config.n), *_slot_ranks(lefts, rights), config.k)[0])
+        counts.append(_best_fit(range(config.n), _SlotPool(lefts, rights), config.k)[0])
     mean = statistics.fmean(counts)
     stderr = (
         statistics.stdev(counts) / math.sqrt(config.trials) if config.trials > 1 else 0.0

@@ -8,14 +8,14 @@ zero-width box does both in one event.  At one x, opens run first, then the
 zero-width boxes by upper y and lower y (the order of an interval set, see
 ``greedy_partition_set``), then takes by upper x and input id.  Events
 compare x exactly, the y coordinates are ranked once, and the slots live in
-the counted pool of ``heapchains.greedy``, ranked by ``_slot_ranks``.
+the counted pool of ``heapchains.greedy``, which ranks them itself.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from .greedy import _SlotPool, _slot_ranks
+from .greedy import _SlotPool
 from .poset import Box, HeapForest, _check_arity, _check_distinct_points, _dense_ranks
 
 _OPEN, _BOTH, _TAKE = 0, 1, 2  # phase order at one x
@@ -42,14 +42,13 @@ def sweep_partition(boxes: Sequence[Box], k: int) -> tuple[int, HeapForest]:
     events.sort()
 
     # Not greedy._best_fit: a box of positive width opens its slots after it takes.
-    bounds, ranks, owners = _slot_ranks(ys[:n], ys[n:])
-    pool = _SlotPool(owners)
+    pool = _SlotPool(ys[:n], ys[n:])
     parent, count = {}, 0
     for event in events:
         phase, bid = event[1], event[-1]
         if phase != _OPEN:
-            owner = parent[bid] = pool.take_best(bounds[bid])
+            owner = parent[bid] = pool.take_best(bid)
             count += owner is None
         if phase != _TAKE:
-            pool.open(ranks[bid], k)
+            pool.open(bid, k)
     return count, HeapForest(k, parent)

@@ -3,12 +3,13 @@ import os
 import re
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from heapchains import cli, formats, verify_forest
+from heapchains import formats, verify_forest
 from heapchains.cli import run
 from heapchains.poset import CycleError, HeapForest, IdOutOfRange, Interval, poset_from_relations
 
@@ -46,6 +47,26 @@ class TestFormats:
         assert got == Fraction(13, 4) and type(got) is Fraction
         with pytest.raises(ValueError):
             formats.parse_exact("0x10")
+
+    @pytest.mark.parametrize("text", ["1e5000", "1e-5000", "1e3000000"])
+    def test_parse_exact_rejects_exponent_past_digit_limit(self, text):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="digit limit"):
+            formats.parse_exact(text)
+        assert time.perf_counter() - start < 0.1  # decided before the power is computed
+
+    def test_parse_exact_digit_limit(self):
+        limit = sys.get_int_max_str_digits()
+        assert formats.parse_exact(f"1e{limit - 1}") == 10 ** (limit - 1)
+        assert formats.parse_exact(f"1e-{limit - 1}") == Fraction(1, 10 ** (limit - 1))
+        for text in (f"1e{limit}", f"1e-{limit}", f"0.1e{limit + 1}", "1." + "1" * limit):
+            with pytest.raises(ValueError):
+                formats.parse_exact(text)
+        sys.set_int_max_str_digits(0)  # no limit, as for int()
+        try:
+            assert formats.parse_exact("1e5000") == 10**5000
+        finally:
+            sys.set_int_max_str_digits(limit)
 
     def test_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "iv.csv"
@@ -338,6 +359,21 @@ class TestCliErrors:
         assert run(argv + [str(path)]) == 2
         assert capsys.readouterr().err.startswith(f"error: {path}")
 
+    @pytest.mark.parametrize(
+        "argv, name, data",
+        [
+            (["intervals-seq", "--trace", "--k", "1", "--input"], "iv.csv", b"0,1e5000\n"),
+            (["kwidth", "--k", "1", "--poset"], "p.json",
+             b'{"n": 100000000000000000000, "relations": []}'),
+        ],
+        ids=["exponent", "poset-n"],
+    )
+    def test_huge_number_exit_2(self, capsys, tmp_path, argv, name, data):
+        path = tmp_path / name
+        path.write_bytes(data)
+        assert run(argv + [str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}")
+
     def test_cyclic_poset_exit_2(self, capsys, tmp_path):
         path = tmp_path / "p.json"
         path.write_text(json.dumps({"n": 2, "relations": [[0, 1], [1, 0]]}))
@@ -366,10 +402,10 @@ class TestCliErrors:
         assert "error:" in capsys.readouterr().err
 
     def test_internal_value_error_not_reported_as_input_error(self, capsys, monkeypatch, tmp_path):
-        def broken(poset, k):
+        def broken(graph):
             raise ValueError("solver bug")
 
-        monkeypatch.setattr(cli, "k_width", broken)
+        monkeypatch.setattr("heapchains.flow.max_left_k_matching", broken)
         path = tmp_path / "p.json"
         path.write_text(json.dumps({"n": 2, "relations": [[0, 1]]}))
         with pytest.raises(ValueError, match="solver bug"):

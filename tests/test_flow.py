@@ -157,6 +157,11 @@ class TestPartitionReconstruction:
         with pytest.raises(InvalidMatching):
             matching_to_partition(antichain(2), LeftKMatching(1, frozenset({(0, 1)})))
 
+    @pytest.mark.parametrize("edge", [(5, 1), (0, -1), (0, 7), (-1, 2)])
+    def test_rejects_ids_outside_poset(self, edge):
+        with pytest.raises(InvalidMatching):
+            matching_to_partition(chain(3), LeftKMatching(1, frozenset({edge})))
+
     def test_root_count_is_n_minus_matching_size(self):
         rng = random.Random(9)
         for _ in range(60):

@@ -34,7 +34,7 @@ from heapchains import (
     sweep_partition,
     verify_forest,
 )
-from heapchains.greedy import _SlotPool, _slot_ranks
+from heapchains.greedy import _SlotPool
 from heapchains.poset import _dense_ranks
 
 from conftest import (
@@ -558,22 +558,24 @@ class TestNaiveReference:
 
 
 class TestSlotPool:
-    """The bitset pool against _naive_take on ranks: one owner per rank, the
-    highest live rank <= bound wins, one life spent per take."""
+    """The bitset pool against _naive_take: one owner per rank, the highest
+    live rank <= bound wins, one life spent per take.  Distinct slot values
+    0..n-1 make each value its own rank, and bound b is item b + 1 of
+    ``range(-1, n)``."""
 
     def test_block_boundary_ranks(self):
         ranks = (0, 63, 64, 127, 128, 191, 192, 255)
         owners = list(range(256))[::-1]
-        pool, slots = _SlotPool(owners), []
+        pool, slots = _SlotPool(range(-1, 256), [255 - owner for owner in range(256)]), []
         for rank, lives in zip(ranks, (1, 2, 3, 1, 2, 3, 1, 2)):
-            pool.open(rank, lives)
+            pool.open(owners[rank], lives)
             slots.append([rank, owners[rank], lives])
-        assert pool.take_best(-1) is None
-        assert pool.take_best(255) == owners[255] == _naive_take(slots, 255)[1]
+        assert pool.take_best(0) is None
+        assert pool.take_best(256) == owners[255] == _naive_take(slots, 255)[1]
         for bound in (-1, 0, 1, 62, 63, 64, 65, 126, 127, 128, 190, 191, 192, 254, 255):
             while True:
                 best = _naive_take(slots, bound)
-                assert pool.take_best(bound) == (None if best is None else best[1])
+                assert pool.take_best(bound + 1) == (None if best is None else best[1])
                 if best is None:
                     break
         assert slots == [] and pool.owners_left() == []
@@ -584,7 +586,10 @@ class TestSlotPool:
             n = rng.choice([1, 2, 63, 64, 65, 100, 128, 300])
             owners = list(range(n))
             rng.shuffle(owners)
-            pool, slots = _SlotPool(owners), []
+            values = [0] * n
+            for rank, owner in enumerate(owners):
+                values[owner] = rank
+            pool, slots = _SlotPool(range(-1, n), values), []
             unopened = list(range(n))
             rng.shuffle(unopened)
             # Boundary ranks, moved to the end, often open first: block edges.
@@ -595,29 +600,38 @@ class TestSlotPool:
             for _ in range(rng.randint(0, 150)):
                 if unopened and rng.random() < 0.5:
                     rank, lives = unopened.pop(), rng.randint(1, 3)
-                    pool.open(rank, lives)
+                    pool.open(owners[rank], lives)
                     slots.append([rank, owners[rank], lives])
                 else:
                     bound = rng.randint(-1, n - 1)
                     best = _naive_take(slots, bound)
-                    assert pool.take_best(bound) == (None if best is None else best[1])
+                    assert pool.take_best(bound + 1) == (None if best is None else best[1])
             left = [owner for _, owner, lives in sorted(slots) for _ in range(lives)]
             assert pool.owners_left() == left
 
 
 class TestSlotRanks:
-    """_slot_ranks puts _naive_take's rule (highest value <= bound, then the
-    lowest owner) into the ranks, so the pool's highest live rank <= bound
+    """The pool's ranking puts _naive_take's rule (highest value <= bound,
+    then the lowest owner) into the ranks, so the highest live rank <= bound
     picks the same owner on tied values."""
 
     def test_ties_rank_by_descending_owner(self):
-        bounds, ranks, owners = _slot_ranks([2, 1, 0, 5], [1, 2, 1, 2])
-        assert owners == [2, 0, 3, 1] and ranks == [1, 3, 0, 2]
-        assert bounds == [3, 1, -1, 3]
+        pool = _SlotPool([2, 1, 0, 5], [1, 2, 1, 2])
+        for owner in range(4):
+            pool.open(owner, 1)
+        # Ranks ascend by value, equal values by descending owner.
+        assert pool.owners_left() == [2, 0, 3, 1]
+        # Items 0 and 3 take below 2 and 5, item 1 below 1, item 2 below 0.
+        assert [pool.take_best(3), pool.take_best(0), pool.take_best(2)] == [1, 3, None]
+        assert [pool.take_best(1), pool.take_best(3), pool.take_best(0)] == [0, 2, None]
+        assert pool.owners_left() == []
 
     def test_no_slots(self):
-        assert _slot_ranks([], []) == ([], [], [])
-        assert _slot_ranks([-1.5, 0, 7], []) == ([-1, -1, -1], [], [])
+        assert _SlotPool([], []).owners_left() == []
+        pool = _SlotPool([-1.5, 0, 7], [])
+        assert pool._bounds == [-1, -1, -1]
+        assert [pool.take_best(i) for i in range(3)] == [None, None, None]
+        assert pool.owners_left() == []
 
     @pytest.mark.parametrize("kind", ["int", "float"])
     def test_pool_on_ranks_matches_naive(self, kind):
@@ -634,18 +648,19 @@ class TestSlotRanks:
             # and above every slot.
             bound_values = [value() for _ in range(60)] + [-10**6, 10**6]
             rng.shuffle(bound_values)
-            bounds, ranks, owners = _slot_ranks(bound_values, values)
-            assert sorted(ranks) == list(range(n))
-            assert [ranks[owner] for owner in owners] == list(range(n))
-            for b, v in zip(bounds, bound_values):
+            pool, slots = _SlotPool(bound_values, values), []
+            # The ranks: a permutation, inverse to the owners, and each bound
+            # the number of slots at or below it, minus one.
+            assert sorted(pool._ranks) == list(range(n))
+            assert [pool._ranks[owner] for owner in pool._owners] == list(range(n))
+            for b, v in zip(pool._bounds, bound_values):
                 assert b == sum(slot <= v for slot in values) - 1
-            pool, slots = _SlotPool(owners), []
             unopened = list(range(n))
             rng.shuffle(unopened)
-            for bound, bound_value in zip(bounds, bound_values):
+            for j, bound_value in enumerate(bound_values):
                 while unopened and rng.random() < 0.6:
                     owner, lives = unopened.pop(), rng.randint(1, 3)
-                    pool.open(ranks[owner], lives)
+                    pool.open(owner, lives)
                     slots.append([values[owner], owner, lives])
                 best = _naive_take(slots, bound_value)
-                assert pool.take_best(bound) == (None if best is None else best[1])
+                assert pool.take_best(j) == (None if best is None else best[1])

@@ -376,6 +376,10 @@ class TestRelationIds:
         with pytest.raises(ValueError):
             poset_from_relations(-1, [])
 
+    def test_size_beyond_list_index_rejected(self):
+        with pytest.raises(ValueError, match="too large"):
+            poset_from_relations(10**20, [])
+
 
 class TestFromPermutation:
     def test_identity_is_total_order(self):
