@@ -3,6 +3,15 @@
 Decimal coordinates are parsed exactly (as rationals), never through binary
 floating point, so file-based inputs behave identically to in-memory exact
 inputs.
+
+``parse_exact`` reads a plain ASCII decimal such as ``-12.345`` without
+``Fraction``'s regex: the text is the integer ``-12345`` over ``10**3``, and
+``Fraction(-12345, 1000)`` is exactly what ``Fraction("-12.345")`` computes
+from the same digits.  Only texts no longer than the integer digit limit take
+this route, so neither integer can exceed the limit where ``Fraction`` would
+not.  Every other text takes the route it took before, ``int()`` for a plain
+integer and ``Fraction`` itself for the rest (``_`` groups, exponents,
+``p/q``, spaces, non-ASCII digits, ``5.``), so errors read the same.
 """
 
 from __future__ import annotations
@@ -43,16 +52,28 @@ def parse_exact(text: str) -> Coord:
             return int(text)
         except ValueError:
             pass
-    limit = sys.get_int_max_str_digits()
-    exponent = limit and ("e" in text or "E" in text) and _EXPONENT.search(text)
-    if exponent and abs(int(exponent[1])) > limit + len(text):
-        raise ValueError(f"exponent too large: the value exceeds the {limit}-digit limit")
-    try:
-        value = Fraction(text)
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator: {text!r}") from None
-    if exponent or 0 < limit < len(text):  # else neither has more digits than text
-        str(value.numerator), str(value.denominator)  # str() raises past the limit, as int() does
+    # Python 3.10.0 to 3.10.6 lack the function; their int() has no limit (0).
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    # A plain ASCII decimal, [-+]?[0-9]*\.[0-9]+, read as in the module docstring.
+    whole, _, frac = text.partition(".")
+    digits = whole[1:] if whole[:1] in "+-" else whole  # "" has [:1] == "", which is in "+-"
+    if (
+        text.isascii()
+        and frac.isdigit()
+        and (digits.isdigit() or not digits)
+        and (not limit or len(text) <= limit)
+    ):
+        value = Fraction(int(whole + frac), 10 ** len(frac))
+    else:
+        exponent = limit and ("e" in text or "E" in text) and _EXPONENT.search(text)
+        if exponent and abs(int(exponent[1])) > limit + len(text):
+            raise ValueError(f"exponent too large: the value exceeds the {limit}-digit limit")
+        try:
+            value = Fraction(text)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator: {text!r}") from None
+        if exponent or 0 < limit < len(text):  # else neither has more digits than text
+            str(value.numerator), str(value.denominator)  # str() raises past the limit, as int() does
     return int(value) if value.denominator == 1 else value
 
 

@@ -223,19 +223,23 @@ def _dense_ranks(values: Sequence[Coord]) -> list[int]:
 
     Exact for any mix of int, Fraction and finite float: each value p/q is
     scaled to the integer p * (L // q), where L is the lcm of the
-    denominators, so values are only ever compared as ints.
+    denominators, so values are only ever compared as ints.  Plain ints (type
+    exactly ``int``, so not bools or numpy integers) are their own keys.
     """
-    try:
-        ratios = [v.as_integer_ratio() for v in values]
-    except AttributeError:  # numpy integers are Rational but lack the method
-        ratios = [
-            (int(v.numerator), int(v.denominator))
-            if isinstance(v, numbers.Rational)
-            else v.as_integer_ratio()
-            for v in values
-        ]
-    lcm = math.lcm(*{q for _, q in ratios})
-    keys = [p * (lcm // q) for p, q in ratios]
+    if {*map(type, values)} == {int}:
+        keys = values
+    else:
+        try:
+            ratios = [v.as_integer_ratio() for v in values]
+        except AttributeError:  # numpy integers are Rational but lack the method
+            ratios = [
+                (int(v.numerator), int(v.denominator))
+                if isinstance(v, numbers.Rational)
+                else v.as_integer_ratio()
+                for v in values
+            ]
+        lcm = math.lcm(*{q for _, q in ratios})
+        keys = [p * (lcm // q) for p, q in ratios]
     rank = {key: r for r, key in enumerate(sorted(set(keys)))}
     return [rank[key] for key in keys]
 

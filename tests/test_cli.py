@@ -8,6 +8,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from heapchains import formats, verify_forest
 from heapchains.cli import run
@@ -28,6 +30,20 @@ def antichain5_json(tmp_path):
     path = tmp_path / "antichain5.json"
     path.write_text(json.dumps({"n": 5, "relations": []}))
     return str(path)
+
+
+# Signs, empty whole parts ("-.5"), leading and trailing zeros: half the texts
+# are plain ASCII decimals; the rest add "_" groups, non-ASCII digits
+# (Arabic-Indic, Bengali, fullwidth), surrounding spaces and a missing point.
+_signs = st.sampled_from(["", "-", "+"])
+_ascii_digits = st.text(alphabet="0123456789", max_size=6)
+_digit_runs = st.text(alphabet="0123456789" * 4 + "\u0661\u0663\u09e9\uff10", min_size=1, max_size=6)
+_number_parts = st.one_of(st.just(""), st.lists(_digit_runs, min_size=1, max_size=3).map("_".join))
+_padding = st.sampled_from(["", " ", "\t", "  "])
+_decimal_texts = st.one_of(
+    st.tuples(_signs, _ascii_digits, st.just("."), _ascii_digits),
+    st.tuples(_padding, _signs, _number_parts, st.sampled_from(["", "."]), _number_parts, _padding),
+).map("".join)
 
 
 class TestFormats:
@@ -59,7 +75,15 @@ class TestFormats:
         limit = sys.get_int_max_str_digits()
         assert formats.parse_exact(f"1e{limit - 1}") == 10 ** (limit - 1)
         assert formats.parse_exact(f"1e-{limit - 1}") == Fraction(1, 10 ** (limit - 1))
-        for text in (f"1e{limit}", f"1e-{limit}", f"0.1e{limit + 1}", "1." + "1" * limit):
+        got = formats.parse_exact("1." + "0" * limit)  # one past the plain-decimal route's length
+        assert got == 1 and type(got) is int
+        for text in (
+            f"1e{limit}",
+            f"1e-{limit}",
+            f"0.1e{limit + 1}",
+            "1." + "1" * limit,
+            "0." + "0" * (limit - 1) + "1",
+        ):
             with pytest.raises(ValueError):
                 formats.parse_exact(text)
         sys.set_int_max_str_digits(0)  # no limit, as for int()
@@ -67,6 +91,33 @@ class TestFormats:
             assert formats.parse_exact("1e5000") == 10**5000
         finally:
             sys.set_int_max_str_digits(limit)
+
+    def test_parse_exact_without_digit_limit_function(self, monkeypatch):
+        # Python 3.10.0 to 3.10.6 have no sys.get_int_max_str_digits.
+        monkeypatch.delattr(sys, "get_int_max_str_digits")
+        assert formats.parse_exact("0.5") == Fraction(1, 2)
+        assert formats.parse_exact("7/3") == Fraction(7, 3)
+        got = formats.parse_exact("1e3")
+        assert got == 1000 and type(got) is int
+
+    @given(_decimal_texts)
+    @example("1_.5")
+    @example("1._5")
+    @example("1.2.3")
+    @example(".")
+    @example("-.")
+    @settings(max_examples=500)
+    def test_parse_exact_agrees_with_fraction(self, text):
+        try:
+            want = Fraction(text)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as info:
+                formats.parse_exact(text)
+            assert str(info.value) == str(exc)
+            return
+        got = formats.parse_exact(text)
+        assert got == want
+        assert type(got) is (int if want.denominator == 1 else Fraction)
 
     def test_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "iv.csv"

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -481,12 +482,27 @@ class TestNaiveReference:
 
     KS = (1, 2, 3, 8)
 
-    def test_dense_ranks_are_exact_across_types(self):
+    def test_dense_ranks_are_exact_across_types(self, monkeypatch):
         values = [1, Fraction(1, 2), 0.5, 0.1, Fraction(1, 10), -2, 1.0, 10**30]
         assert _dense_ranks(values) == [4, 3, 3, 2, 1, 0, 4, 5]
         assert _dense_ranks([]) == []
         numpy_values = [np.int64(3), 1, np.int64(1), Fraction(1, 2), np.float32(0.5), 2**70]
         assert _dense_ranks(numpy_values) == [2, 1, 1, 0, 0, 3]
+
+        # Plain ints rank by themselves; only the general route scales by an lcm.
+        lcm_calls = []
+        lcm = math.lcm
+        monkeypatch.setattr(math, "lcm", lambda *qs: lcm_calls.append(qs) or lcm(*qs))
+        ints = [5, -3, 5, 2**70, -(2**64), 0, -3, 2**63, 2**63 - 1]
+        assert _dense_ranks(ints) == [3, 1, 3, 6, 0, 2, 1, 5, 4]
+        assert lcm_calls == []
+        assert _dense_ranks(ints) == _dense_ranks([Fraction(v) for v in ints])
+        for odd in (True, np.int64(7)):
+            mixed = ints + [odd]
+            want = _dense_ranks([Fraction(int(v)) for v in mixed])
+            lcm_calls.clear()
+            assert _dense_ranks(mixed) == want
+            assert lcm_calls, type(odd)
 
     def test_interval_variants(self):
         rng = random.Random(45)
