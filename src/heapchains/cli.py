@@ -45,6 +45,7 @@ from .poset import (
     poset_from_interval_sequence,
     poset_from_interval_set,
     poset_from_permutation,
+    verify_forest,
 )
 from .simulate import (
     MODE_SEQUENCE,
@@ -160,50 +161,49 @@ def _cmd_crosscheck(args) -> int:
     rng = random.Random(args.seed)
     failures = []
 
-    def compare(solver, got, reference, want, trial, k):
+    def check(name, solve, build, instance, trial):
+        """Fail the trial unless ``solve`` matches flow's count with a valid witness forest."""
+        k = trial % 3 + 1
+        try:
+            poset = build(instance)
+        except CycleError:  # a repeated point: the family has no order to compare
+            return
+        (got, forest), want = solve(instance, k)[:2], k_width(poset, k)[0]
         if got != want:
-            failures.append(f"{solver} {got} != {reference} {want} (trial {trial}, k={k})")
+            failures.append(f"{name} {got} != flow {want} (trial {trial}, k={k})")
+        elif len(forest.roots) != got or not verify_forest(poset, forest, k):
+            failures.append(f"{name} witness is not {got} valid chains (trial {trial}, k={k})")
 
     for trial in range(args.trials):
-        k = trial % 3 + 1
         items = _random_intervals(rng, rng.randint(1, 24))
-        compare("sequence greedy", greedy_partition_sequence(items, k)[0],
-                "flow", k_width(poset_from_interval_sequence(items), k)[0], trial, k)
-        try:
-            poset = poset_from_interval_set(items)
-        except CycleError:
-            continue
-        compare("set greedy", greedy_partition_set(items, k)[0],
-                "flow", k_width(poset, k)[0], trial, k)
+        check("sequence greedy", greedy_partition_sequence, poset_from_interval_sequence,
+              items, trial)
+        check("set greedy", greedy_partition_set, poset_from_interval_set, items, trial)
     print(f"greedy vs flow: {args.trials} trials")
 
     for trial in range(args.trials):
         k = trial % 3 + 1
         n = rng.randint(1, 200)
         items = sample_intervals(trial_rng(args.seed + trial, 0), n)
-        compare("process", run_process(n, k, trial_rng(args.seed + trial, 0))[0],
-                "greedy", greedy_partition_sequence(items, k)[0], trial, k)
+        got = run_process(n, k, trial_rng(args.seed + trial, 0))[0]
+        want = greedy_partition_sequence(items, k)[0]
+        if got != want:
+            failures.append(f"process {got} != greedy {want} (trial {trial}, k={k})")
     print(f"process vs greedy: {args.trials} trials")
 
     for trial in range(args.trials):
-        k = trial % 3 + 1
         boxes = []
         for _ in range(rng.randint(1, 12)):
             x1, y1, x2, y2 = (rng.randint(0, 2) for _ in range(4))
             boxes.append(Box((min(x1, x2), min(y1, y2)), (max(x1, x2), max(y1, y2))))
-        try:
-            poset = poset_from_box_set(boxes)
-        except CycleError:
-            continue
-        compare("sweep", sweep_partition(boxes, k)[0], "flow", k_width(poset, k)[0], trial, k)
+        check("sweep", sweep_partition, poset_from_box_set, boxes, trial)
     print(f"sweep vs flow: {args.trials} trials")
 
     for trial in range(args.trials):
-        k = trial % 3 + 1
         perm = list(range(rng.randint(1, 24)))
         rng.shuffle(perm)
-        compare("permutation greedy", greedy_partition_permutation(perm, k)[0],
-                "flow", k_width(poset_from_permutation(perm), k)[0], trial, k)
+        check("permutation greedy", greedy_partition_permutation, poset_from_permutation,
+              perm, trial)
     print(f"permutation greedy vs flow: {args.trials} trials")
 
     if failures:

@@ -9,9 +9,10 @@ inputs.
 ``Fraction(-12345, 1000)`` is exactly what ``Fraction("-12.345")`` computes
 from the same digits.  Only texts no longer than the integer digit limit take
 this route, so neither integer can exceed the limit where ``Fraction`` would
-not.  Every other text takes the route it took before, ``int()`` for a plain
-integer and ``Fraction`` itself for the rest (``_`` groups, exponents,
-``p/q``, spaces, non-ASCII digits, ``5.``), so errors read the same.
+not.  Every other text goes to ``int()`` when it is a plain integer and to
+``Fraction`` itself otherwise (``_`` groups, exponents, ``p/q``, spaces,
+non-ASCII digits, ``5.``), so their values and error messages are the ones
+those constructors give.
 """
 
 from __future__ import annotations

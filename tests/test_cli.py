@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from heapchains import formats, verify_forest
+from heapchains import formats, greedy_partition_sequence, greedy_partition_set, verify_forest
 from heapchains.cli import run
 from heapchains.poset import CycleError, HeapForest, IdOutOfRange, Interval, poset_from_relations
 
@@ -315,6 +315,19 @@ class TestCliCommands:
         assert lines[-1] == "3"
         assert lines[0] == "subset: 0 1 2"
 
+    def test_max_heapable_trace_shows_rejections(self, capsys, tmp_path):
+        path = tmp_path / "iv.csv"
+        path.write_text("0,5\n1,2\n6,7\n6,9\n")
+        assert run(["max-heapable", "--k", "1", "--input", str(path), "--trace"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "subset: 1 2",
+            "item 1: new chain",
+            "item 0: rejected",
+            "item 2: attached to 1 via slot 2",
+            "item 3: rejected",
+            "2",
+        ]
+
     def test_permutation(self, capsys, tmp_path):
         path = tmp_path / "perm.txt"
         path.write_text("1\n2\n0\n3\n")
@@ -367,6 +380,28 @@ class TestCliCommands:
         assert "sweep vs flow: 12 trials" in out and "all checks passed" in out
         assert "permutation greedy vs flow: 12 trials" in out
 
+    def test_crosscheck_reports_count_mismatch(self, capsys, monkeypatch):
+        def off_by_one(items, k):
+            count, *rest = greedy_partition_set(items, k)
+            return (count + 1, *rest)
+
+        monkeypatch.setattr("heapchains.cli.greedy_partition_set", off_by_one)
+        assert run(["crosscheck", "--trials", "12", "--seed", "7"]) == 1
+        captured = capsys.readouterr()
+        assert "MISMATCH: set greedy" in captured.err
+        assert "all checks passed" not in captured.out
+
+    def test_crosscheck_rejects_invalid_witness(self, capsys, monkeypatch):
+        def all_roots(items, k):  # the right count, but every item starts its own chain
+            count, forest, trace = greedy_partition_sequence(items, k)
+            return count, HeapForest(k, dict.fromkeys(forest.parent)), trace
+
+        monkeypatch.setattr("heapchains.cli.greedy_partition_sequence", all_roots)
+        assert run(["crosscheck", "--trials", "12", "--seed", "7"]) == 1
+        err = capsys.readouterr().err
+        assert "MISMATCH: sequence greedy witness" in err
+        assert "!=" not in err
+
     def test_deterministic_stdout(self, capsys, s1_csv):
         run(["intervals-seq", "--k", "2", "--input", s1_csv, "--trace"])
         first = capsys.readouterr().out
@@ -396,19 +431,24 @@ class TestCliErrors:
         assert "iv.csv:2" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "argv, name, data",
+        "argv, name, data, where",
         [
-            (["intervals-seq", "--k", "2", "--input"], "iv.csv", b"1,2\n1/0,3\n"),
-            (["trapezoid", "--k", "1", "--input"], "bx.csv", b"0,0,1,1\n\xff\n"),
-            (["kwidth", "--k", "1", "--poset"], "p.json", b"[" * 100_000),
+            (["intervals-seq", "--k", "2", "--input"], "iv.csv", b"1,2\n1/0,3\n",
+             ":2: zero denominator"),
+            (["trapezoid", "--k", "1", "--input"], "bx.csv", b"0,0,1,1\n\xff\n", ": not UTF-8"),
+            (["kwidth", "--k", "1", "--poset"], "p.json", b"[" * 100_000, ": invalid JSON"),
+            (["permutation", "--k", "1", "--input"], "perm.txt", b"0\nx\n",
+             ":2: not an integer: 'x'\n"),
+            (["trapezoid", "--k", "1", "--input"], "boxes.csv", b"0,0,1,1\n2,0,1,1\n",
+             ":2: box corners out of order: (2, 0) / (1, 1)\n"),
         ],
-        ids=["zero-denominator", "not-utf8", "nested-json"],
+        ids=["zero-denominator", "not-utf8", "nested-json", "not-an-integer", "box-corners"],
     )
-    def test_unreadable_file_exit_2(self, capsys, tmp_path, argv, name, data):
+    def test_unreadable_file_exit_2(self, capsys, tmp_path, argv, name, data, where):
         path = tmp_path / name
         path.write_bytes(data)
         assert run(argv + [str(path)]) == 2
-        assert capsys.readouterr().err.startswith(f"error: {path}")
+        assert capsys.readouterr().err.startswith(f"error: {path}{where}")
 
     @pytest.mark.parametrize(
         "argv, name, data",
@@ -462,6 +502,10 @@ class TestCliErrors:
         with pytest.raises(ValueError, match="solver bug"):
             run(["kwidth", "--k", "1", "--poset", str(path)])
         assert "error:" not in capsys.readouterr().err
+
+    def test_oracle_without_input_flag_exit_2(self, capsys):
+        assert run(["oracle", "--what", "kwidth"]) == 2
+        assert capsys.readouterr().err == "error: oracle kwidth needs --poset\n"
 
     def test_oracle_too_large_exit_2(self, capsys, tmp_path):
         path = tmp_path / "p.json"
