@@ -61,7 +61,6 @@ from .simulate import (
     SimConfig,
     SimStats,
     estimate_scaling,
-    random_interval,
     run_process,
     sample_intervals,
     trial_rng,
@@ -115,7 +114,6 @@ __all__ = [
     "poset_from_interval_set",
     "poset_from_permutation",
     "poset_from_relations",
-    "random_interval",
     "run_process",
     "sample_intervals",
     "signature",

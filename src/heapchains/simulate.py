@@ -16,7 +16,8 @@ arrivals are taken; ``run_process`` reads the final particles back from the
 arrivals' floats.
 
 Each trial derives its own generator from the root seed by a counter-based
-spawn, so trial order never affects results.
+spawn, so trial order never affects results; ``_draws`` is the one rule
+that turns a trial's generator into its arrivals.
 """
 
 from __future__ import annotations
@@ -70,31 +71,17 @@ def trial_rng(seed: int, trial: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(trial,)))
 
 
-def random_interval(rng: np.random.Generator) -> Interval:
-    """One random subinterval of (0, 1): two uniform draws, sorted."""
-    return Interval(*_sample_pairs(rng, 1)[0])
-
-
-def sample_intervals(rng: np.random.Generator, n: int) -> list[Interval]:
-    """n random intervals, consuming the stream exactly like n random_interval calls."""
-    return [Interval(u, v) for u, v in _sample_pairs(rng, n)]
-
-
-def _sample_pairs(rng: np.random.Generator, n: int) -> list[tuple[float, float]]:
-    lefts, rights = _split_pairs(rng.random(2 * n))
-    return list(zip(lefts.tolist(), rights.tolist()))
-
-
-def _split_pairs(draws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each pair's lower and upper draw; draws 2i and 2i + 1 form pair i."""
+def _draws(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The one sampling rule: arrival i is the sorted pair of draws 2i and 2i + 1."""
+    draws = rng.random(2 * n)
     firsts, seconds = draws[0::2], draws[1::2]
     return np.minimum(firsts, seconds), np.maximum(firsts, seconds)
 
 
-def _chain_count(pairs, k: int) -> int:
-    """New chains the process starts on float (left, right) pairs, in order."""
-    lefts, rights = _split_pairs(np.asarray(pairs, dtype=float).reshape(-1))
-    return _best_fit(range(len(lefts)), _SlotPool(lefts, rights), k)[0]
+def sample_intervals(rng: np.random.Generator, n: int) -> list[Interval]:
+    """n random intervals; ``sample_intervals(trial_rng(seed, t), n)`` gives trial t's arrivals."""
+    lefts, rights = _draws(rng, n)
+    return [Interval(u, v) for u, v in zip(lefts.tolist(), rights.tolist())]
 
 
 def run_process(n: int, k: int, rng: np.random.Generator) -> tuple[int, tuple[float, ...]]:
@@ -104,7 +91,7 @@ def run_process(n: int, k: int, rng: np.random.Generator) -> tuple[int, tuple[fl
     (each particle value repeated once per remaining life).
     """
     _check_arity(k)
-    lefts, rights = _split_pairs(rng.random(2 * n))
+    lefts, rights = _draws(rng, n)
     pool = _SlotPool(lefts, rights)
     count = _best_fit(range(n), pool, k)[0]
     return count, tuple(rights[pool.owners_left()].tolist())
@@ -121,7 +108,7 @@ def estimate_scaling(config: SimConfig) -> SimStats:
     """Independent seeded trials of the process; aggregates per-trial chain counts."""
     counts = []
     for trial in range(config.trials):
-        lefts, rights = _split_pairs(trial_rng(config.seed, trial).random(2 * config.n))
+        lefts, rights = _draws(trial_rng(config.seed, trial), config.n)
         if config.mode == MODE_SORTED_SET:
             order = _set_order(lefts, rights)
             lefts, rights = lefts[order], rights[order]

@@ -43,6 +43,7 @@ from heapchains import (
     poset_from_box_set,
     poset_from_interval_sequence,
     poset_from_interval_set,
+    run_process,
     sample_intervals,
     signature,
     sweep_partition,
@@ -50,7 +51,6 @@ from heapchains import (
     verify_forest,
 )
 from heapchains.cli import run
-from heapchains.simulate import _chain_count, _sample_pairs
 
 from conftest import (
     S1_PAIRS,
@@ -281,13 +281,11 @@ def test_criterion_8_process_greedy_identity():
     for seed in range(100):
         k = seed % 3 + 1
         n = 60 + seed
-        count = _chain_count(_sample_pairs(trial_rng(seed, 0), n), k)
         items = sample_intervals(trial_rng(seed, 0), n)
-        if count != greedy_partition_sequence(items, k)[0]:
+        if run_process(n, k, trial_rng(seed, 0))[0] != greedy_partition_sequence(items, k)[0]:
             mismatches += 1
-        pairs = _sample_pairs(trial_rng(seed, 0), n)
-        pairs.sort(key=lambda p: (p[1], p[0]))
-        if _chain_count(pairs, k) != greedy_partition_set(items, k)[0]:
+        config = SimConfig(n=n, k=k, trials=1, seed=seed, mode=MODE_SORTED_SET)
+        if estimate_scaling(config).counts[0] != greedy_partition_set(items, k)[0]:
             mismatches += 1
     ok = mismatches == 0
     line = _report(

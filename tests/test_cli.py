@@ -11,7 +11,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from heapchains import formats, greedy_partition_sequence, greedy_partition_set, verify_forest
+from heapchains import (
+    formats,
+    greedy_partition_sequence,
+    greedy_partition_set,
+    run_process,
+    verify_forest,
+)
 from heapchains.cli import run
 from heapchains.poset import CycleError, HeapForest, IdOutOfRange, Interval, poset_from_relations
 
@@ -362,6 +368,17 @@ class TestCliCommands:
         assert out.read_bytes() == first
         assert capsys.readouterr().out == first_stdout
 
+    def test_simulate_zero_arrivals(self, capsys, tmp_path):
+        # No arrivals means no chains; the normalized count is undefined.
+        for mode in ("seq", "set"):
+            out = tmp_path / f"{mode}.csv"
+            argv = ["simulate", "--k", "2", "--n", "0", "--trials", "3", "--mode", mode]
+            assert run([*argv, "--csv", str(out)]) == 0
+            lines = capsys.readouterr().out.splitlines()
+            assert lines == ["mean count 0 over 3 trials (stderr 0)", "nan"]
+            rows = out.read_text(encoding="utf-8").splitlines()
+            assert rows[1:] == [f"{trial},0,2,{mode},0,nan" for trial in range(3)]
+
     def test_oracle_subcommands(self, capsys, tmp_path, antichain5_json):
         iv = tmp_path / "iv.csv"
         iv.write_text("1,2\n3,4\n5,6\n0,10\n")
@@ -381,15 +398,23 @@ class TestCliCommands:
         assert "permutation greedy vs flow: 12 trials" in out
 
     def test_crosscheck_reports_count_mismatch(self, capsys, monkeypatch):
-        def off_by_one(items, k):
-            count, *rest = greedy_partition_set(items, k)
-            return (count + 1, *rest)
+        def off_by_one(solve):
+            def wrapped(*args):
+                count, *rest = solve(*args)
+                return (count + 1, *rest)
 
-        monkeypatch.setattr("heapchains.cli.greedy_partition_set", off_by_one)
-        assert run(["crosscheck", "--trials", "12", "--seed", "7"]) == 1
-        captured = capsys.readouterr()
-        assert "MISMATCH: set greedy" in captured.err
-        assert "all checks passed" not in captured.out
+            return wrapped
+
+        for name, solve, label in (
+            ("greedy_partition_set", greedy_partition_set, "set greedy"),
+            ("run_process", run_process, "process"),
+        ):
+            with monkeypatch.context() as patch:
+                patch.setattr(f"heapchains.cli.{name}", off_by_one(solve))
+                assert run(["crosscheck", "--trials", "12", "--seed", "7"]) == 1
+            captured = capsys.readouterr()
+            assert f"MISMATCH: {label} " in captured.err
+            assert "all checks passed" not in captured.out
 
     def test_crosscheck_rejects_invalid_witness(self, capsys, monkeypatch):
         def all_roots(items, k):  # the right count, but every item starts its own chain

@@ -424,6 +424,14 @@ class TestIntervalPosets:
         p = poset_from_interval_set([Interval(0, 1), Interval(1, 2)])
         assert p.pairs() == [(0, 1)]
 
+    def test_repr_and_hash(self):
+        items = [Interval(0, 2), Interval(3, 5), Interval(1, 4)]
+        p = poset_from_interval_set(items)
+        assert repr(p) == "Poset(n=3, relations=[(0, 1)])"
+        same = poset_from_relations(3, [(0, 1)])
+        assert p == same and hash(p) == hash(same)
+        assert len({p, same, poset_from_relations(3, [])}) == 2
+
     def test_sequence_index_blocks_dominance(self):
         p = poset_from_interval_sequence([Interval(2, 3), Interval(0, 1)])
         assert p.pairs() == []

@@ -16,31 +16,33 @@ from heapchains import (
     estimate_scaling,
     greedy_partition_sequence,
     greedy_partition_set,
-    random_interval,
     run_process,
     sample_intervals,
     signature,
     trial_rng,
     write_trials_csv,
 )
-from heapchains.simulate import _chain_count
+
+
+class _FixedDraws:
+    """A stand-in generator whose ``random(2n)`` returns the given draws."""
+
+    def __init__(self, draws):
+        self.draws = np.array(draws, dtype=float)
+
+    def random(self, size):
+        assert size == len(self.draws)
+        return self.draws
 
 
 class TestRandomInterval:
     def test_bounds_and_order(self):
-        rng = trial_rng(0, 0)
-        for _ in range(500):
-            item = random_interval(rng)
+        for item in sample_intervals(trial_rng(0, 0), 500):
             assert 0.0 < item.left <= item.right < 1.0
 
     def test_deterministic_per_seed(self):
-        assert random_interval(trial_rng(5, 0)) == random_interval(trial_rng(5, 0))
-        assert random_interval(trial_rng(5, 0)) != random_interval(trial_rng(6, 0))
-
-    def test_batch_sampling_matches_scalar_draws(self):
-        rng = trial_rng(7, 3)
-        scalar = [random_interval(rng) for _ in range(50)]
-        assert scalar == sample_intervals(trial_rng(7, 3), 50)
+        assert sample_intervals(trial_rng(5, 0), 20) == sample_intervals(trial_rng(5, 0), 20)
+        assert sample_intervals(trial_rng(5, 0), 20) != sample_intervals(trial_rng(6, 0), 20)
 
     def test_mean_length_one_third(self):
         # E|u - v| for independent uniforms is 1/3
@@ -80,21 +82,24 @@ class TestRunProcess:
 
 
 class TestTiedEndpoints:
-    def test_grid_pairs_match_greedy(self):
+    def test_grid_pairs_match_greedy(self, monkeypatch):
         # Uniform draws never tie; endpoints on a 1/16 grid tie often, so
-        # equal floats must share a rank here.
+        # equal floats must share a rank here.  The draws reach the shipped
+        # sampler through a stand-in generator, in both modes.
         rng = random.Random(50)
         for _ in range(150):
-            draws = [rng.randint(0, 16) / 16 for _ in range(2 * rng.randint(0, 40))]
-            pairs = [tuple(sorted(draws[i : i + 2])) for i in range(0, len(draws), 2)]
-            set_pairs = sorted(pairs, key=lambda p: (p[1], p[0]))
-            items = [Interval(a, b) for a, b in pairs]
-            set_items = [Interval(a, b) for a, b in set_pairs]
-            points = [a for a, b in pairs if a == b]
+            n = rng.randint(0, 40)
+            draws = [rng.randint(0, 16) / 16 for _ in range(2 * n)]
+            stub = _FixedDraws(draws)
+            monkeypatch.setattr("heapchains.simulate.trial_rng", lambda seed, trial: stub)
+            items = [Interval(*sorted(draws[i : i + 2])) for i in range(0, 2 * n, 2)]
+            set_items = sorted(items, key=lambda item: (item.right, item.left))
+            points = [item.left for item in items if item.left == item.right]
             repeats_a_point = len(set(points)) < len(points)
             for k in (1, 2, 3):
-                assert _chain_count(pairs, k) == greedy_partition_sequence(items, k)[0]
-                count = _chain_count(set_pairs, k)
+                assert run_process(n, k, stub)[0] == greedy_partition_sequence(items, k)[0]
+                config = SimConfig(n=n, k=k, trials=1, seed=0, mode=MODE_SORTED_SET)
+                count = estimate_scaling(config).counts[0]
                 assert count == greedy_partition_sequence(set_items, k)[0]
                 # Two equal point intervals dominate each other, so the set
                 # greedy rejects them, as the poset builder does.
