@@ -5,6 +5,10 @@ the k-split graph (any poset), greedy best-fit slot algorithms (interval
 sequences and sets, permutations, plus maximum single-chain subsets), and a
 sweep-line variant for box dominance orders.  A Monte-Carlo module estimates
 the chain-count scaling of the interval particle process on random inputs.
+
+numpy is imported inside the function that calls it, never at module level,
+so importing the package, the flow solver on a poset read from relations,
+and the poset oracles never load it.
 """
 
 from .flow import (

@@ -57,8 +57,7 @@ class LeftKMatching:
 
 def build_split_graph(poset: Poset, k: int) -> SplitGraph:
     """Split graph sharing the poset's successor masks; nothing is copied."""
-    _check_arity(k)
-    return SplitGraph(poset.n, k, poset.successor_masks)
+    return SplitGraph(poset.n, _check_arity(k), poset.successor_masks)
 
 
 def max_left_k_matching(graph: SplitGraph) -> LeftKMatching:

@@ -172,13 +172,16 @@ def save_poset_json(path, poset: Poset) -> None:
 
 
 def save_forest_json(path, forest: HeapForest) -> None:
-    """{"k", "roots", "parent": {child: parent}}; children serialized ascending."""
-    parent = {
-        str(child): forest.parent[child]
-        for child in sorted(forest.parent)
-        if forest.parent[child] is not None
-    }
-    _write_json(path, {"k": forest.k, "roots": list(forest.roots), "parent": parent})
+    """{"k", "roots", "parent": {child: parent}}; roots and children serialized
+    ascending, split in one pass over the sorted ids."""
+    links, roots, parent = forest.parent, [], {}
+    for child in sorted(links):
+        par = links[child]
+        if par is None:
+            roots.append(child)
+        else:
+            parent[str(child)] = par
+    _write_json(path, {"k": forest.k, "roots": roots, "parent": parent})
 
 
 def load_forest_json(path) -> HeapForest:
@@ -194,8 +197,7 @@ def load_forest_json(path) -> HeapForest:
         children = {int(child): _element_id(par) for child, par in data["parent"].items()}
         if list(map(str, children)) != list(data["parent"]):
             raise ValueError("child keys must be plain integer ids")
-        k = _element_id(data["k"])
-        _check_arity(k)
+        k = _check_arity(data["k"])
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise InputFormatError(f"{path}: malformed forest JSON") from exc
     both = sorted(parent.keys() & children.keys())

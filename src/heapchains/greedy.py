@@ -28,12 +28,13 @@ from __future__ import annotations
 
 from bisect import bisect_right, insort
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from .poset import Coord, HeapForest, Interval, _check_arity, _check_permutation, _interval_ranks
 from .poset import _check_distinct_points
+
+if TYPE_CHECKING:
+    import numpy as np
 
 NEW_CHAIN = "new_chain"
 ATTACHED = "attached"
@@ -84,7 +85,7 @@ def insert_interval(
     item.right are added.  Returns the new multiset (sorted) and the consumed
     slot value, or None when the interval started a new chain.
     """
-    _check_arity(k)
+    k = _check_arity(k)
     values = list(signature(slots))
     consumed: Optional[Coord] = None
     if choose is not None:
@@ -105,6 +106,8 @@ def insert_interval(
 
 def _set_order(lefts, rights) -> np.ndarray:
     """Item ids in interval-set order: right endpoint, then left, then id."""
+    import numpy as np
+
     return np.lexsort((lefts, rights))
 
 
@@ -122,6 +125,8 @@ class _SlotPool:
     __slots__ = ("_blocks", "_summary", "_bounds", "_ranks", "_owners", "_lives")
 
     def __init__(self, bounds, slots):
+        import numpy as np
+
         slots = np.asarray(slots)
         owners = np.lexsort((-np.arange(len(slots)), slots))
         ranks = np.empty_like(owners)
@@ -200,10 +205,9 @@ def best_fit_trace(forest: HeapForest, order: Iterable, slots: Sequence) -> tupl
     )
 
 
-def _ranked_intervals(items: Sequence[Interval], k: int, set_order: bool) -> tuple:
+def _ranked_intervals(items: Sequence[Interval], set_order: bool) -> tuple:
     """The order items are taken in (a set's items must not repeat a point)
-    and the slot pool of their endpoints, ranked once; k is checked."""
-    _check_arity(k)
+    and the slot pool of their endpoints, ranked once."""
     lefts, rights = _interval_ranks(items)
     order = range(len(items))
     if set_order:
@@ -213,7 +217,8 @@ def _ranked_intervals(items: Sequence[Interval], k: int, set_order: bool) -> tup
 
 
 def _interval_best_fit(items: Sequence[Interval], k: int, set_order: bool) -> tuple:
-    order, pool = _ranked_intervals(items, k, set_order)
+    k = _check_arity(k)
+    order, pool = _ranked_intervals(items, set_order)
     count, parent = _best_fit(order, pool, k)
     forest = HeapForest(k, {i: parent[i] for i in order})
     return count, forest, best_fit_trace(forest, order, [item.right for item in items])
@@ -241,7 +246,9 @@ def greedy_partition_permutation(perm: Sequence[int], k: int) -> tuple[int, Heap
     smaller earlier value.  ``best_fit_trace(forest, perm, range(len(perm)))``
     gives the decisions.
     """
-    _check_arity(k)
+    import numpy as np
+
+    k = _check_arity(k)
     seq = _check_permutation(perm)
     # Value v is its own item id and slot value, and takes below v.
     count, parent = _best_fit(seq, _SlotPool(np.arange(-1, len(seq) - 1), np.arange(len(seq))), k)
@@ -257,7 +264,8 @@ def greedy_max_heapable_subset(
     items either attach best-fit or are rejected outright (rejected items
     never open slots).  Two equal point intervals raise CycleError.
     """
-    order, pool = _ranked_intervals(items, k, set_order=True)
+    k = _check_arity(k)
+    order, pool = _ranked_intervals(items, set_order=True)
     parent: dict[int, Optional[int]] = {}
     for i in order:
         owner = pool.take_best(i)

@@ -20,7 +20,7 @@ class TooLarge(ValueError):
 
 def oracle_k_width(poset: Poset, k: int) -> int:
     """Minimum root count over all valid parent assignments, by backtracking."""
-    _check_arity(k)
+    k = _check_arity(k)
     n = poset.n
     if n > 8:
         raise TooLarge(f"oracle_k_width is limited to n <= 8, got {n}")
@@ -55,7 +55,7 @@ def oracle_max_heapable(items: Sequence[Interval], k: int) -> int:
     checked by backtracking: its first item is the root, and each later item
     takes as parent an earlier item below it that has fewer than k children.
     """
-    _check_arity(k)
+    k = _check_arity(k)
     n = len(items)
     if n > 12:
         raise TooLarge(f"oracle_max_heapable is limited to n <= 12, got {n}")

@@ -8,7 +8,8 @@ types.
 
 Building a poset from intervals, boxes or a permutation ranks coordinates
 once, exactly, and compares the ranks in numpy blocks: O(n^2) work, 8-15 ms
-at n = 2,100 on one Xeon core, plus about 20 us per call.
+at n = 2,100 on one Xeon core, plus about 20 us per call.  A poset read from
+relations never touches numpy.
 """
 
 from __future__ import annotations
@@ -20,8 +21,6 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence, Union
-
-import numpy as np
 
 Coord = Union[int, Fraction, float]
 _BLOCK_ROWS = 1024  # rows per kernel block: 10 MB of bools per column at n = 10,000
@@ -45,12 +44,18 @@ class ElementMismatch(ValueError):
 
 def _check_finite(*coords: Coord) -> None:
     # Exact coordinates skip the test (int and Fraction by a fast type check).
-    # np.isfinite judges a numpy longdouble too large for a float.
+    # np.isfinite judges a numpy longdouble too large for a float; it is
+    # imported only for a value math.isfinite rejects that is not a plain
+    # float, so the common path runs no import statement.
     for c in coords:
-        if type(c) in (int, Fraction) or isinstance(c, numbers.Rational):
+        if type(c) in (int, Fraction) or isinstance(c, numbers.Rational) or math.isfinite(c):
             continue
-        if not (math.isfinite(c) or np.isfinite(c)):
-            raise ValueError(f"coordinate must be finite, got {c!r}")
+        if type(c) is not float:
+            import numpy as np
+
+            if np.isfinite(c):
+                continue
+        raise ValueError(f"coordinate must be finite, got {c!r}")
 
 
 @dataclass(frozen=True)
@@ -132,9 +137,16 @@ class Poset:
         return f"Poset(n={self.n}, relations={self.pairs()!r})"
 
 
-def _check_arity(k: int) -> None:
-    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
+def _check_arity(k: int) -> int:
+    """k as a plain int (numpy ints too, as ``_element_id`` reads them);
+    ValueError for bools, floats and anything below 1."""
+    try:
+        arity = _element_id(k)
+    except TypeError:
+        arity = 0
+    if arity < 1:
         raise ValueError(f"arity must be an integer >= 1, got {k!r}")
+    return arity
 
 
 def _element_id(value) -> int:
@@ -272,6 +284,8 @@ def _dominance_poset(low: tuple[Sequence[int], ...], high: tuple[Sequence[int], 
 
     Columns are int ranks with low <= high per item; a repeated point raises CycleError.
     """
+    import numpy as np
+
     n = len(low[0])
     _check_distinct_points(low, high)
     lows, highs = np.asarray(low, dtype=np.int64), np.asarray(high, dtype=np.int64)
@@ -340,7 +354,7 @@ def verify_forest(poset: Poset, forest: HeapForest, k: int) -> bool:
     Raises ElementMismatch when the forest covers a different element set;
     dominance, arity and partition violations just return False.
     """
-    _check_arity(k)
+    k = _check_arity(k)
     if set(forest.parent) != set(range(poset.n)):
         raise ElementMismatch(
             f"forest covers {len(forest.parent)} elements, poset has {poset.n}"

@@ -26,11 +26,13 @@ import csv
 import math
 import statistics
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .greedy import _SlotPool, _best_fit, _set_order
 from .poset import Interval, _check_arity, _element_id
+
+if TYPE_CHECKING:
+    import numpy as np
 
 MODE_SEQUENCE = "seq"
 MODE_SORTED_SET = "set"
@@ -46,7 +48,7 @@ class SimConfig:
     mode: str = MODE_SEQUENCE
 
     def __post_init__(self):
-        _check_arity(self.k)
+        k = _check_arity(self.k)
         n, trials, seed = (_element_id(v) for v in (self.n, self.trials, self.seed))
         if n < 0:
             raise ValueError(f"n must be >= 0, got {n}")
@@ -56,6 +58,8 @@ class SimConfig:
             raise ValueError(f"seed must be >= 0, got {seed}")
         if self.mode not in _MODES:
             raise ValueError(f"mode must be one of {_MODES}, got {self.mode!r}")
+        for name, value in (("n", n), ("k", k), ("trials", trials), ("seed", seed)):
+            object.__setattr__(self, name, value)  # frozen: keep the plain ints
 
 
 @dataclass(frozen=True)
@@ -68,11 +72,15 @@ class SimStats:
 
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
     """Independent generator for one trial, derived from the root seed."""
+    import numpy as np
+
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(trial,)))
 
 
 def _draws(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
     """The one sampling rule: arrival i is the sorted pair of draws 2i and 2i + 1."""
+    import numpy as np
+
     draws = rng.random(2 * n)
     firsts, seconds = draws[0::2], draws[1::2]
     return np.minimum(firsts, seconds), np.maximum(firsts, seconds)
@@ -90,7 +98,7 @@ def run_process(n: int, k: int, rng: np.random.Generator) -> tuple[int, tuple[fl
     Returns the number of new chains and the final live-particle multiset
     (each particle value repeated once per remaining life).
     """
-    _check_arity(k)
+    k = _check_arity(k)
     lefts, rights = _draws(rng, n)
     pool = _SlotPool(lefts, rights)
     count = _best_fit(range(n), pool, k)[0]

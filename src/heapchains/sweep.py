@@ -27,7 +27,7 @@ def sweep_partition(boxes: Sequence[Box], k: int) -> tuple[int, HeapForest]:
     Returns the chain count, the same for input in any order, and a forest
     over the original box ids.  Two boxes that are one point raise CycleError.
     """
-    _check_arity(k)
+    k = _check_arity(k)
     n = len(boxes)
     lo_xs, hi_xs = [box.lower[0] for box in boxes], [box.upper[0] for box in boxes]
     ys = _dense_ranks([box.lower[1] for box in boxes] + [box.upper[1] for box in boxes])

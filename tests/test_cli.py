@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -12,6 +13,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from heapchains import (
+    SimConfig,
+    estimate_scaling,
     formats,
     greedy_partition_sequence,
     greedy_partition_set,
@@ -538,21 +541,109 @@ class TestCliErrors:
         assert run(["oracle", "--what", "kwidth", "--k", "1", "--poset", str(path)]) == 2
 
 
+# Run in a fresh interpreter by TestImportFootprint: after each step, whether
+# numpy is loaded and the last line of the step's output.
+_FOOTPRINT_STEPS = """
+import contextlib, io, json, sys
+report = []
+import heapchains, heapchains.cli
+report.append(["import", "numpy" in sys.modules, None])
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        rc = heapchains.cli.run(argv)
+    report.append([argv[0], "numpy" in sys.modules, [rc, out.getvalue().splitlines()[-1]]])
+print(json.dumps(report))
+"""
+
+# Run in a fresh interpreter by TestImportFootprint: four threads make the
+# first numpy-backed calls at once, right after the import.
+_CONCURRENT_FIRST_USE = """
+import json, sys, threading
+import heapchains
+from heapchains import SimConfig, estimate_scaling, greedy_partition_set, Interval
+items = [Interval(a, b) for a, b in json.loads(sys.argv[1])]
+barrier, results = threading.Barrier(4), [None] * 4
+def work(slot):
+    barrier.wait()
+    count, forest, _ = greedy_partition_set(items, 2)
+    stats = estimate_scaling(SimConfig(n=2000, k=2, trials=2, seed=3))
+    results[slot] = [count, sorted(forest.parent.items()), list(stats.counts), stats.mean]
+threads = [threading.Thread(target=work, args=(slot,)) for slot in range(4)]
+for thread in threads:
+    thread.start()
+for thread in threads:
+    thread.join()
+print(json.dumps(results))
+"""
+
+
+def _fresh_python(code: str, *args: str) -> str:
+    """Stdout of ``code`` run in a new interpreter that imports heapchains from this tree."""
+    import heapchains
+
+    src = str(Path(heapchains.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    return result.stdout
+
+
 class TestImportFootprint:
     def test_cli_imports_no_optional_packages(self):
         # sortedcontainers is no longer a dependency; scipy and networkx
         # would add their import time and memory to every CLI call.
-        import heapchains
-
-        src = str(Path(heapchains.__file__).resolve().parent.parent)
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         code = (
             "import sys, heapchains.cli; "
             "print(sorted({'sortedcontainers', 'scipy', 'networkx'} & set(sys.modules)))"
         )
-        result = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        assert _fresh_python(code).strip() == "[]"
+
+    def test_numpy_loads_only_at_first_numpy_backed_call(self, tmp_path, s1_csv):
+        # numpy's import is most of a cold CLI call; the poset-JSON path,
+        # the poset oracles and --help never need it.
+        poset = tmp_path / "p.json"
+        poset.write_text(json.dumps({"n": 4, "relations": [[0, 1], [0, 2], [1, 3]]}))
+        steps = [
+            ["kwidth", "--k", "2", "--poset", str(poset), "--witness", str(tmp_path / "f.json")],
+            ["oracle", "--what", "antichain", "--poset", str(poset)],
+            ["oracle", "--what", "kwidth", "--k", "2", "--poset", str(poset)],
+            ["--help"],
+            ["intervals-seq", "--k", "2", "--input", s1_csv],
+        ]
+        report = json.loads(_fresh_python(_FOOTPRINT_STEPS, json.dumps(steps)))
+        assert [(step, loaded) for step, loaded, _ in report] == [
+            ("import", False),
+            ("kwidth", False),
+            ("oracle", False),
+            ("oracle", False),
+            ("--help", False),
+            ("intervals-seq", True),
+        ]
+        assert [result for _, _, result in report[1:4]] == [[0, "1"], [0, "2"], [0, "1"]]
+        assert report[4][2][0] == 0
+        want_count = greedy_partition_sequence([Interval(a, b) for a, b in S1_PAIRS], 2)[0]
+        assert report[5][2] == [0, str(want_count)]
+
+    def test_rejecting_a_plain_float_loads_no_numpy(self):
+        code = (
+            "import math, sys\nfrom heapchains import Interval\n"
+            "try:\n    Interval(0, math.nan)\nexcept ValueError as exc:\n"
+            "    print(exc, 'numpy' in sys.modules)\n"
         )
-        assert result.returncode == 0, result.stderr
-        assert result.stdout.strip() == "[]"
+        assert _fresh_python(code).strip() == "coordinate must be finite, got nan False"
+
+    def test_concurrent_first_use_matches_serial(self):
+        # numpy is imported at first use, under the import lock: threads that
+        # race to the first call must still see one fully loaded module.
+        rng = random.Random(8)
+        pairs = [sorted(rng.sample(range(900), 2)) for _ in range(300)]
+        got = json.loads(_fresh_python(_CONCURRENT_FIRST_USE, json.dumps(pairs)))
+        count, forest, _ = greedy_partition_set([Interval(a, b) for a, b in pairs], 2)
+        stats = estimate_scaling(SimConfig(n=2000, k=2, trials=2, seed=3))
+        serial = [count, [list(p) for p in sorted(forest.parent.items())], list(stats.counts),
+                  stats.mean]
+        assert got == [serial] * 4

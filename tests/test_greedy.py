@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -20,6 +21,7 @@ from heapchains import (
     best_fit_trace,
     chain_signatures,
     dominates,
+    formats,
     greedy_max_heapable_subset,
     greedy_partition_permutation,
     greedy_partition_sequence,
@@ -377,6 +379,35 @@ class TestExactArithmetic:
         assert greedy_partition_sequence(items, 1)[0] == 1
         items = [Interval(Fraction(1, 3), Fraction(6676, 10000)), Interval(Fraction(2, 3), 1)]
         assert greedy_partition_sequence(items, 1)[0] == 2
+
+
+class TestNumpyArity:
+    """A numpy integer k reads as the plain int it holds; bools and floats
+    still raise ValueError."""
+
+    def test_numpy_int_arity_matches_int(self, s1_items, tmp_path):
+        boxes = [Box((item.left, 0), (item.right, item.left % 3)) for item in s1_items]
+        cases = [
+            (greedy_partition_sequence, s1_items),
+            (greedy_partition_set, s1_items),
+            (greedy_max_heapable_subset, s1_items),
+            (greedy_partition_permutation, [1, 2, 0, 3, 5, 4]),
+            (sweep_partition, boxes),
+            (k_width, poset_from_interval_set(s1_items)),
+        ]
+        for solve, data in cases:
+            got, want = solve(data, np.int64(2)), solve(data, 2)
+            assert got == want, solve.__name__
+            forest = got[1]
+            assert type(forest.k) is int, solve.__name__
+            formats.save_forest_json(tmp_path / "numpy.json", forest)
+            formats.save_forest_json(tmp_path / "int.json", want[1])
+            assert (tmp_path / "numpy.json").read_bytes() == (tmp_path / "int.json").read_bytes()
+
+    @pytest.mark.parametrize("bad", [True, 2.0, np.float64(2), 0, np.int64(0), "2"])
+    def test_non_integer_arity_rejected(self, s1_items, bad):
+        with pytest.raises(ValueError, match=re.escape(f"arity must be an integer >= 1, got {bad!r}")):
+            greedy_partition_set(s1_items, bad)
 
 
 def _naive_take(slots, bound, strict=False):

@@ -161,6 +161,9 @@ class TestEstimateScaling:
             with pytest.raises(TypeError):
                 SimConfig(n=1, k=1, trials=1, seed=bad)
         assert SimConfig(n=np.int64(3), k=1, trials=np.int32(2), seed=np.uint8(7)).n == 3
+        config = SimConfig(n=np.int64(3), k=np.int64(2), trials=np.int32(2), seed=np.uint8(7))
+        assert config == SimConfig(n=3, k=2, trials=2, seed=7)
+        assert {type(v) for v in (config.n, config.k, config.trials, config.seed)} == {int}
 
     def test_csv_rows(self, tmp_path):
         config = SimConfig(n=50, k=2, trials=4, seed=3, mode=MODE_SORTED_SET)
