@@ -18,10 +18,10 @@ order-isomorphic ints.  One counted slot pool, ``_SlotPool``, ranks each
 item's bound and slot value itself, one rank per owner with the tie rule
 built in, and keeps each rank's unused lives; callers name items, never
 ranks.  Best fit compares only ints, and its cost does not depend on k.
-One loop, ``_best_fit``, serves the partitions and the particle process of
-``heapchains.simulate``; the max-heapable subset and the sweep line of
-``heapchains.sweep`` keep their own loops on the same pool.  Every trace
-comes from ``best_fit_trace``, which reports slots by original coordinate.
+One loop, ``_SlotPool.run``, serves the partitions, the max-heapable subset
+(with ``reject``), the sweep line of ``heapchains.sweep`` and the particle
+process of ``heapchains.simulate``.  Every trace comes from
+``best_fit_trace``, which reports slots by original coordinate.
 """
 
 from __future__ import annotations
@@ -138,56 +138,66 @@ class _SlotPool:
         self._summary = 0
         self._lives = [0] * len(owners)
 
-    def open(self, item: int, lives: int) -> None:
-        """Give item, whose slots are not open yet, ``lives`` slots."""
-        rank = self._ranks[item]
-        self._lives[rank] = lives
-        blocks, block = self._blocks, rank >> 6
-        if not blocks[block]:
-            self._summary |= 1 << block
-        blocks[block] |= 1 << (rank & 63)
-
-    def take_best(self, item: int) -> Optional[int]:
-        """Spend a life of item's best slot (the highest value at or below its
-        bound, then the lowest owner); return the owner, or None if none fits."""
-        bound = self._bounds[item]
-        if bound < 0:
-            return None
-        blocks = self._blocks
-        block = bound >> 6
-        mask = blocks[block] & ((2 << (bound & 63)) - 1)
-        if not mask:
-            below = self._summary & ((1 << block) - 1)
-            if not below:
-                return None
-            block = below.bit_length() - 1
-            mask = blocks[block]
-        rank = block << 6 | (mask.bit_length() - 1)
-        lives = self._lives
-        lives[rank] -= 1
-        if not lives[rank]:
-            blocks[block] = mask = blocks[block] ^ (1 << (rank & 63))
-            if not mask:
-                self._summary ^= 1 << block
-        return self._owners[rank]
+    def run(self, steps, k: int, reject: bool = False) -> tuple[int, list]:
+        """The one best-fit loop.  With n bounds, step ``i`` (0 <= i < n) takes
+        for item i, then gives it k slots; ``n + i`` only takes for item i, and
+        ``~i`` only gives item i, whose slots are not open yet, k slots.  A
+        take spends a life of the item's best slot (the highest value at or
+        below its bound, then the lowest owner) or starts a chain.  With
+        ``reject``, once this run has started a chain, an item that finds no
+        slot is skipped: it keeps -1 and opens nothing.  Returns the run's
+        chain-start count and a list over the bounds: each item's owner, None
+        for a chain start, -1 if it never took.
+        """
+        bounds, ranks, owners = self._bounds, self._ranks, self._owners
+        blocks, lives, summary = self._blocks, self._lives, self._summary
+        n = len(bounds)
+        parent = [-1] * n
+        count = 0
+        for step in steps:
+            if step >= 0:
+                i = step - n if step >= n else step
+                bound, owner = bounds[i], None
+                if bound >= 0:
+                    block = bound >> 6
+                    mask = blocks[block] & ((2 << (bound & 63)) - 1)
+                    if not mask:
+                        below = summary & ((1 << block) - 1)
+                        if below:
+                            block = below.bit_length() - 1
+                            mask = blocks[block]
+                    if mask:
+                        top = mask.bit_length() - 1
+                        rank = block << 6 | top
+                        left = lives[rank] - 1
+                        lives[rank] = left
+                        if not left:
+                            mask = blocks[block] = blocks[block] ^ (1 << top)
+                            if not mask:
+                                summary ^= 1 << block
+                        owner = owners[rank]
+                if owner is None:
+                    if reject and count:
+                        continue
+                    count += 1
+                parent[i] = owner
+                if step >= n:
+                    continue
+            else:
+                i = ~step
+            rank = ranks[i]
+            lives[rank] = k
+            block = rank >> 6
+            if not blocks[block]:
+                summary |= 1 << block
+            blocks[block] |= 1 << (rank & 63)
+        self._summary = summary
+        return count, parent
 
     def owners_left(self) -> list[int]:
         """Owners of the unused slots by ascending rank, one per life."""
         owners = self._owners
         return [owners[rank] for rank, lives in enumerate(self._lives) for _ in range(lives)]
-
-
-def _best_fit(order, pool: _SlotPool, k: int) -> tuple[int, list]:
-    """Each item of ``order`` (every item, once) spends a life of its best slot
-    in ``pool``, or starts a chain, then opens k slots.  Returns the new-chain
-    count and the parent of each item (a list indexed by item, None for
-    roots); the pool keeps the unused slots."""
-    take_best, open_slots = pool.take_best, pool.open
-    parent = [None] * len(order)
-    for i in order:
-        parent[i] = take_best(i)
-        open_slots(i, k)
-    return parent.count(None), parent
 
 
 def best_fit_trace(forest: HeapForest, order: Iterable, slots: Sequence) -> tuple[TraceStep, ...]:
@@ -219,7 +229,7 @@ def _ranked_intervals(items: Sequence[Interval], set_order: bool) -> tuple:
 def _interval_best_fit(items: Sequence[Interval], k: int, set_order: bool) -> tuple:
     k = _check_arity(k)
     order, pool = _ranked_intervals(items, set_order)
-    count, parent = _best_fit(order, pool, k)
+    count, parent = pool.run(order, k)
     forest = HeapForest(k, {i: parent[i] for i in order})
     return count, forest, best_fit_trace(forest, order, [item.right for item in items])
 
@@ -251,7 +261,7 @@ def greedy_partition_permutation(perm: Sequence[int], k: int) -> tuple[int, Heap
     k = _check_arity(k)
     seq = _check_permutation(perm)
     # Value v is its own item id and slot value, and takes below v.
-    count, parent = _best_fit(seq, _SlotPool(np.arange(-1, len(seq) - 1), np.arange(len(seq))), k)
+    count, parent = _SlotPool(np.arange(-1, len(seq) - 1), np.arange(len(seq))).run(seq, k)
     return count, HeapForest(k, {value: parent[value] for value in seq})
 
 
@@ -266,13 +276,8 @@ def greedy_max_heapable_subset(
     """
     k = _check_arity(k)
     order, pool = _ranked_intervals(items, set_order=True)
-    parent: dict[int, Optional[int]] = {}
-    for i in order:
-        owner = pool.take_best(i)
-        if owner is None and parent:
-            continue  # not _best_fit: a rejected item opens no slots
-        parent[i] = owner
-        pool.open(i, k)
+    taken = pool.run(order, k, reject=True)[1]
+    parent = {i: taken[i] for i in order if taken[i] != -1}
     forest = HeapForest(k, parent)
     trace = best_fit_trace(forest, order, [item.right for item in items])
     return tuple(sorted(parent)), forest, trace

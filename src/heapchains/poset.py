@@ -66,9 +66,15 @@ class Interval:
     right: Coord
 
     def __post_init__(self):
-        _check_finite(self.left, self.right)
-        if self.left > self.right:
-            raise ValueError(f"interval endpoints out of order: [{self.left}, {self.right}]")
+        left, right = self.left, self.right
+        if type(left) is Fraction and type(right) is Fraction:
+            # Always finite; cross-multiplying skips Fraction.__gt__'s dispatch.
+            out_of_order = left.numerator * right.denominator > right.numerator * left.denominator
+        else:
+            _check_finite(left, right)
+            out_of_order = left > right
+        if out_of_order:
+            raise ValueError(f"interval endpoints out of order: [{left}, {right}]")
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ counts match ``greedy_partition_sequence`` exactly; sorting arrivals by
 (right, left) before feeding the process gives the set variant.
 
 Each trial runs the process as the best-fit loop of ``heapchains.greedy``
-(``_best_fit``) on one slot pool per trial, with one slot owner per arrival:
+(``_SlotPool.run``) on one slot pool per trial, with one slot owner per arrival:
 ``_SlotPool`` ranks the raw float draws directly and exactly, and settles
 ties between equal particles.  Set mode only changes the order in which
 arrivals are taken; ``run_process`` reads the final particles back from the
@@ -28,7 +28,7 @@ import statistics
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .greedy import _SlotPool, _best_fit, _set_order
+from .greedy import _SlotPool, _set_order
 from .poset import Interval, _check_arity, _element_id
 
 if TYPE_CHECKING:
@@ -101,7 +101,7 @@ def run_process(n: int, k: int, rng: np.random.Generator) -> tuple[int, tuple[fl
     k = _check_arity(k)
     lefts, rights = _draws(rng, n)
     pool = _SlotPool(lefts, rights)
-    count = _best_fit(range(n), pool, k)[0]
+    count = pool.run(range(n), k)[0]
     return count, tuple(rights[pool.owners_left()].tolist())
 
 
@@ -120,7 +120,7 @@ def estimate_scaling(config: SimConfig) -> SimStats:
         if config.mode == MODE_SORTED_SET:
             order = _set_order(lefts, rights)
             lefts, rights = lefts[order], rights[order]
-        counts.append(_best_fit(range(config.n), _SlotPool(lefts, rights), config.k)[0])
+        counts.append(_SlotPool(lefts, rights).run(range(config.n), config.k)[0])
     mean = statistics.fmean(counts)
     stderr = (
         statistics.stdev(counts) / math.sqrt(config.trials) if config.trials > 1 else 0.0

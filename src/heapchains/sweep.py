@@ -8,7 +8,8 @@ zero-width box does both in one event.  At one x, opens run first, then the
 zero-width boxes by upper y and lower y (the order of an interval set, see
 ``greedy_partition_set``), then takes by upper x and input id.  Events
 compare x exactly, the y coordinates are ranked once, and the slots live in
-the counted pool of ``heapchains.greedy``, which ranks them itself.
+the counted pool of ``heapchains.greedy``, which ranks them itself and runs
+the sorted events as its take, open and take-and-open steps.
 """
 
 from __future__ import annotations
@@ -32,23 +33,14 @@ def sweep_partition(boxes: Sequence[Box], k: int) -> tuple[int, HeapForest]:
     lo_xs, hi_xs = [box.lower[0] for box in boxes], [box.upper[0] for box in boxes]
     ys = _dense_ranks([box.lower[1] for box in boxes] + [box.upper[1] for box in boxes])
     _check_distinct_points((lo_xs, ys[:n]), (hi_xs, ys[n:]))
+    # Each event ends in its pool step: a take-and-open, a take or an open.
     events = []
     for bid, (lo_x, hi_x) in enumerate(zip(lo_xs, hi_xs)):
         if lo_x == hi_x:
             events.append((lo_x, _BOTH, ys[n + bid], ys[bid], bid))
         else:
-            events.append((lo_x, _TAKE, hi_x, bid))
-            events.append((hi_x, _OPEN, bid))
+            events.append((lo_x, _TAKE, hi_x, n + bid))
+            events.append((hi_x, _OPEN, ~bid))
     events.sort()
-
-    # Not greedy._best_fit: a box of positive width opens its slots after it takes.
-    pool = _SlotPool(ys[:n], ys[n:])
-    parent, count = {}, 0
-    for event in events:
-        phase, bid = event[1], event[-1]
-        if phase != _OPEN:
-            owner = parent[bid] = pool.take_best(bid)
-            count += owner is None
-        if phase != _TAKE:
-            pool.open(bid, k)
-    return count, HeapForest(k, parent)
+    count, parent = _SlotPool(ys[:n], ys[n:]).run([event[-1] for event in events], k)
+    return count, HeapForest(k, dict(enumerate(parent)))

@@ -604,6 +604,53 @@ class TestNaiveReference:
             assert forest.parent == parent
 
 
+def _open(pool, owner, lives):
+    """Give owner ``lives`` slots: one open-only step."""
+    assert pool.run((~owner,), lives) == (0, [-1] * len(pool._bounds))
+
+
+def _take(pool, item):
+    """Spend a life of item's best slot: one take-only step.  The owner, or None."""
+    n = len(pool._bounds)
+    count, parent = pool.run((n + item,), 1)
+    assert count == (parent[item] is None)
+    return parent[item]
+
+
+class TestPoolCallers:
+    """The two callers that do more than take-and-open every item, on small
+    tied int grids: max-heapable drops the items that never took (-1), and
+    the sweep turns its phased events into take, open and take-and-open steps."""
+
+    def test_tied_grids_match_naive(self):
+        rng = random.Random(54)
+        rejected = flat = 0
+        for _ in range(300):
+            n = rng.randint(0, 25)
+            k = rng.randint(1, 3)
+            items = [Interval(*sorted((rng.randint(0, 6), rng.randint(0, 6)))) for _ in range(n)]
+            if not _repeats_a_point(items):
+                by_total = sorted(range(n), key=lambda i: (items[i].right, items[i].left))
+                parent, _ = _naive_intervals(items, by_total, k, single_chain=True)
+                subset, forest, _ = greedy_max_heapable_subset(items, k)
+                assert forest.parent == parent and subset == tuple(sorted(parent))
+                rejected += n - len(parent)
+            boxes = []
+            for _ in range(n):
+                x1, x2 = sorted((rng.randint(0, 4), rng.randint(0, 4)))
+                y1, y2 = sorted((rng.randint(0, 4), rng.randint(0, 4)))
+                boxes.append(Box((x1, y1), (x2, y2)))
+            if len({box for box in boxes if box.lower == box.upper}) < sum(
+                box.lower == box.upper for box in boxes
+            ):
+                continue  # a repeated point raises CycleError
+            count, forest = sweep_partition(boxes, k)
+            parent = _naive_sweep(boxes, k)
+            assert forest.parent == parent and count == list(parent.values()).count(None)
+            flat += sum(box.lower[0] == box.upper[0] for box in boxes)
+        assert rejected > 500 and flat > 500
+
+
 class TestSlotPool:
     """The bitset pool against _naive_take: one owner per rank, the highest
     live rank <= bound wins, one life spent per take.  Distinct slot values
@@ -615,14 +662,14 @@ class TestSlotPool:
         owners = list(range(256))[::-1]
         pool, slots = _SlotPool(range(-1, 256), [255 - owner for owner in range(256)]), []
         for rank, lives in zip(ranks, (1, 2, 3, 1, 2, 3, 1, 2)):
-            pool.open(owners[rank], lives)
+            _open(pool, owners[rank], lives)
             slots.append([rank, owners[rank], lives])
-        assert pool.take_best(0) is None
-        assert pool.take_best(256) == owners[255] == _naive_take(slots, 255)[1]
+        assert _take(pool, 0) is None
+        assert _take(pool, 256) == owners[255] == _naive_take(slots, 255)[1]
         for bound in (-1, 0, 1, 62, 63, 64, 65, 126, 127, 128, 190, 191, 192, 254, 255):
             while True:
                 best = _naive_take(slots, bound)
-                assert pool.take_best(bound + 1) == (None if best is None else best[1])
+                assert _take(pool, bound + 1) == (None if best is None else best[1])
                 if best is None:
                     break
         assert slots == [] and pool.owners_left() == []
@@ -647,14 +694,65 @@ class TestSlotPool:
             for _ in range(rng.randint(0, 150)):
                 if unopened and rng.random() < 0.5:
                     rank, lives = unopened.pop(), rng.randint(1, 3)
-                    pool.open(owners[rank], lives)
+                    _open(pool, owners[rank], lives)
                     slots.append([rank, owners[rank], lives])
                 else:
                     bound = rng.randint(-1, n - 1)
                     best = _naive_take(slots, bound)
-                    assert pool.take_best(bound + 1) == (None if best is None else best[1])
+                    assert _take(pool, bound + 1) == (None if best is None else best[1])
             left = [owner for _, owner, lives in sorted(slots) for _ in range(lives)]
             assert pool.owners_left() == left
+
+    def test_mixed_steps_match_naive(self):
+        """Runs of all three step codes, with and without ``reject``, against
+        a list of [value, owner, lives] slots.  A pool may have more bounds
+        than slots: only items below len(values) open.  The state carries
+        over between runs; each run counts its own chain starts, and with
+        ``reject`` skips a failed take once it has started one."""
+        rng = random.Random(53)
+        edges = (62, 63, 64, 65, 126, 127, 128, 129)
+        for case in range(400):
+            m = rng.choice([0, 1, 5, 63, 64, 65, 127, 128, 129, 200])
+            n = m + rng.choice([0, 0, 1, 7])
+            # Odd cases: distinct values, each its own rank.  Even: a coarse tied grid.
+            distinct = case % 2
+            top = m if distinct else max(1, m // 8)
+            values = rng.sample(range(m), m) if distinct else [rng.randint(0, top) for _ in range(m)]
+            bounds = [
+                rng.choice(edges) if distinct and rng.random() < 0.5 else rng.randint(-1, top)
+                for _ in range(n)
+            ]
+            pool, slots = _SlotPool(bounds, values), []
+            steps = []
+            for i in range(n):
+                kind = rng.randrange(5) if i < m else rng.choice([1, 4])
+                if kind == 0:
+                    steps.append(i)
+                elif kind == 1:
+                    steps.append(n + i)
+                elif kind == 2:
+                    steps.append(~i)
+                elif kind == 3:
+                    steps += [n + i, ~i]
+            rng.shuffle(steps)
+            cuts = sorted(rng.sample(range(len(steps) + 1), min(2, len(steps) + 1)))
+            for run_steps in (steps[: cuts[0]], steps[cuts[0] : cuts[-1]], steps[cuts[-1] :]):
+                k, reject = rng.randint(1, 3), rng.random() < 0.5
+                parent, count = [-1] * n, 0
+                for step in run_steps:
+                    i = ~step if step < 0 else step % n
+                    if step >= 0:
+                        best = _naive_take(slots, bounds[i])
+                        if best is None and reject and count:
+                            continue
+                        count += best is None
+                        parent[i] = None if best is None else best[1]
+                        if step >= n:
+                            continue
+                    slots.append([values[i], i, k])
+                assert pool.run(run_steps, k, reject) == (count, parent)
+            left = sorted(slots, key=lambda slot: (slot[0], -slot[1]))
+            assert pool.owners_left() == [owner for _, owner, lives in left for _ in range(lives)]
 
 
 class TestSlotRanks:
@@ -665,19 +763,21 @@ class TestSlotRanks:
     def test_ties_rank_by_descending_owner(self):
         pool = _SlotPool([2, 1, 0, 5], [1, 2, 1, 2])
         for owner in range(4):
-            pool.open(owner, 1)
+            _open(pool, owner, 1)
         # Ranks ascend by value, equal values by descending owner.
         assert pool.owners_left() == [2, 0, 3, 1]
         # Items 0 and 3 take below 2 and 5, item 1 below 1, item 2 below 0.
-        assert [pool.take_best(3), pool.take_best(0), pool.take_best(2)] == [1, 3, None]
-        assert [pool.take_best(1), pool.take_best(3), pool.take_best(0)] == [0, 2, None]
+        assert [_take(pool, 3), _take(pool, 0), _take(pool, 2)] == [1, 3, None]
+        assert [_take(pool, 1), _take(pool, 3), _take(pool, 0)] == [0, 2, None]
         assert pool.owners_left() == []
 
     def test_no_slots(self):
         assert _SlotPool([], []).owners_left() == []
         pool = _SlotPool([-1.5, 0, 7], [])
         assert pool._bounds == [-1, -1, -1]
-        assert [pool.take_best(i) for i in range(3)] == [None, None, None]
+        assert [_take(pool, i) for i in range(3)] == [None, None, None]
+        assert pool.run(range(3, 6), 2) == (3, [None, None, None])
+        assert pool.run(range(3, 6), 2, reject=True) == (1, [None, -1, -1])
         assert pool.owners_left() == []
 
     @pytest.mark.parametrize("kind", ["int", "float"])
@@ -707,7 +807,7 @@ class TestSlotRanks:
             for j, bound_value in enumerate(bound_values):
                 while unopened and rng.random() < 0.6:
                     owner, lives = unopened.pop(), rng.randint(1, 3)
-                    pool.open(owner, lives)
+                    _open(pool, owner, lives)
                     slots.append([values[owner], owner, lives])
                 best = _naive_take(slots, bound_value)
-                assert pool.take_best(j) == (None if best is None else best[1])
+                assert _take(pool, j) == (None if best is None else best[1])

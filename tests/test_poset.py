@@ -1,6 +1,7 @@
 import bisect
 import math
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -494,6 +495,30 @@ class TestNonFiniteCoordinates:
         for coords in [(bad, 0, 1, 1), (0, bad, 1, 1), (0, 0, bad, 1), (0, 0, 1, bad)]:
             with pytest.raises(ValueError, match="finite"):
                 Box(coords[:2], coords[2:])
+
+    @pytest.mark.parametrize(
+        "left, right, text",
+        [
+            (Fraction(7, 2), Fraction(10, 3), "[7/2, 10/3]"),
+            (Fraction(-1, 3), Fraction(-2, 3), "[-1/3, -2/3]"),
+            (5, 2, "[5, 2]"),
+            (Fraction(5, 2), 2, "[5/2, 2]"),
+            (3, Fraction(5, 2), "[3, 5/2]"),
+            (2.5, Fraction(1, 2), "[2.5, 1/2]"),
+        ],
+    )
+    def test_out_of_order_message(self, left, right, text):
+        # Two Fractions are ordered by cross-multiplying; every type gives one message.
+        with pytest.raises(ValueError, match=re.escape(f"interval endpoints out of order: {text}")):
+            Interval(left, right)
+        assert Interval(right, left).right == left
+
+    def test_fraction_order_and_nan(self):
+        assert Interval(Fraction(1, 3), Fraction(1, 3)).left == Fraction(1, 3)
+        assert Interval(Fraction(-1, 3), Fraction(1, 10**30)).right == Fraction(1, 10**30)
+        for left, right in [(Fraction(1, 2), math.nan), (math.nan, Fraction(1, 2))]:
+            with pytest.raises(ValueError, match="finite"):
+                Interval(left, right)
 
     def test_finite_values_of_every_type_accepted(self):
         assert Interval(0.5, Fraction(3, 2)).right == Fraction(3, 2)
