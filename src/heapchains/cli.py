@@ -94,7 +94,7 @@ def _print_trace(trace) -> None:
 
 
 def _emit(count, forest, trace=None, *, args) -> int:
-    if args.trace and trace is not None:
+    if args.trace:
         _print_trace(trace)
     if args.witness:
         formats.save_forest_json(args.witness, forest)
@@ -118,8 +118,7 @@ def _cmd_max_heapable(args) -> int:
 def _cmd_permutation(args) -> int:
     perm = formats.load_permutation(args.input)
     count, forest = greedy_partition_permutation(perm, args.k)
-    trace = best_fit_trace(forest, perm, range(len(perm))) if args.trace else None
-    return _emit(count, forest, trace, args=args)
+    return _emit(count, forest, best_fit_trace(forest, perm, range(len(perm))), args=args)
 
 
 def _cmd_simulate(args) -> int:

@@ -180,7 +180,7 @@ def save_forest_json(path, forest: HeapForest) -> None:
         if par is None:
             roots.append(child)
         else:
-            parent[str(child)] = par
+            parent[child] = par  # json.dumps writes an int key as its str()
     _write_json(path, {"k": forest.k, "roots": roots, "parent": parent})
 
 

@@ -13,24 +13,30 @@ is the relation best-fit insertion preserves.
 Slot multisets are plain iterables of exact numeric values; signatures are
 sorted tuples.
 
-The partition algorithms rank all endpoints once, exactly, into
-order-isomorphic ints.  One counted slot pool, ``_SlotPool``, ranks each
-item's bound and slot value itself, one rank per owner with the tie rule
-built in, and keeps each rank's unused lives; callers name items, never
-ranks.  Best fit compares only ints, and its cost does not depend on k.
-One loop, ``_SlotPool.run``, serves the partitions, the max-heapable subset
-(with ``reject``), the sweep line of ``heapchains.sweep`` and the particle
-process of ``heapchains.simulate``.  Every trace comes from
-``best_fit_trace``, which reports slots by original coordinate.
+The partition algorithms turn all endpoints into exact, order-isomorphic
+int keys (``poset._exact_keys``) and hold them in one numpy array,
+``_key_array``.  One counted slot pool, ``_SlotPool``, ranks each item's
+bound and slot value from those keys, the only ranking they get: one rank
+per owner with the tie rule built in, and each rank's unused lives; callers
+name items, never ranks.  Best fit compares only ints, and its cost does
+not depend on k.  One loop, ``_SlotPool.run``, serves the partitions, the
+max-heapable subset (with ``reject``), the sweep line of
+``heapchains.sweep`` and the particle process of ``heapchains.simulate``.
+Every trace comes from ``best_fit_trace``, which reports slots by original
+coordinate.  A trace is a read-only sequence that builds each step when it
+is read, so a caller who never reads it pays only for a copy of the order
+and of each item's parent.
 """
 
 from __future__ import annotations
 
+import collections.abc
 from bisect import bisect_right, insort
 from dataclasses import dataclass
+from itertools import repeat
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
-from .poset import Coord, HeapForest, Interval, _check_arity, _check_permutation, _interval_ranks
+from .poset import Coord, HeapForest, Interval, _check_arity, _check_permutation, _exact_keys
 from .poset import _check_distinct_points
 
 if TYPE_CHECKING:
@@ -102,6 +108,17 @@ def insert_interval(
     for _ in range(k):
         insort(values, item.right)
     return tuple(values), consumed
+
+
+def _key_array(keys: Sequence[int]) -> np.ndarray:
+    """Exact int keys as one array: int64 when every key fits, else object.
+    ``np.asarray`` would guess float64 for ``[3, 2**63 + 1]`` and round."""
+    import numpy as np
+
+    try:
+        return np.array(keys, dtype=np.int64)
+    except OverflowError:
+        return np.array(keys, dtype=object)
 
 
 def _set_order(lefts, rights) -> np.ndarray:
@@ -200,30 +217,72 @@ class _SlotPool:
         return [owners[rank] for rank, lives in enumerate(self._lives) for _ in range(lives)]
 
 
-def best_fit_trace(forest: HeapForest, order: Iterable, slots: Sequence) -> tuple[TraceStep, ...]:
+class _Trace(collections.abc.Sequence):
+    """Read-only sequence of TraceSteps: item ``order[j]`` took a slot of
+    ``owners[j]`` (None for a new chain, -1 if rejected), valued at
+    ``slots[owner]``.  Each step is built when it is read.  It equals, and
+    hashes as, the tuple of its steps."""
+
+    __slots__ = ("_order", "_owners", "_slots")
+
+    def __init__(self, order: tuple, owners: list, slots: Sequence):
+        self._order, self._owners, self._slots = order, owners, slots
+
+    def _step(self, item: int, owner: Optional[int]) -> TraceStep:
+        if owner is None:
+            return TraceStep(item, NEW_CHAIN)
+        if owner == -1:
+            return TraceStep(item, REJECTED)
+        return TraceStep(item, ATTACHED, parent=owner, slot=self._slots[owner])
+
+    def __len__(self) -> int:
+        return len(self._order)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return _Trace(self._order[index], self._owners[index], self._slots)
+        return self._step(self._order[index], self._owners[index])
+
+    def __iter__(self):
+        return map(self._step, self._order, self._owners)
+
+    def __eq__(self, other):
+        if isinstance(other, (tuple, _Trace)):
+            return tuple(self) == tuple(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(tuple(self))
+
+    def __repr__(self):
+        return f"_Trace({tuple(self)!r})"
+
+
+def best_fit_trace(forest: HeapForest, order: Iterable, slots: Sequence) -> Sequence[TraceStep]:
     """The greedy decisions behind a forest, in ``order``: an item missing from
     the forest was rejected, a root started a new chain, and any other item
-    attached beneath its parent, consuming a slot valued at ``slots[parent]``."""
-    parent = forest.parent
-    return tuple(
-        TraceStep(i, REJECTED)
-        if i not in parent
-        else TraceStep(i, NEW_CHAIN)
-        if parent[i] is None
-        else TraceStep(i, ATTACHED, parent=parent[i], slot=slots[parent[i]])
-        for i in order
-    )
+    attached beneath its parent, consuming a slot valued at ``slots[parent]``.
+
+    The result is a read-only sequence (``len``, indexing, slices, iteration)
+    equal to the tuple of its steps.  It copies ``order`` and each item's
+    parent when it is made, so later edits to them or to ``forest.parent``
+    leave it unchanged; ``slots`` is read when a step is read.
+    """
+    order = tuple(order)
+    return _Trace(order, list(map(forest.parent.get, order, repeat(-1))), slots)
 
 
 def _ranked_intervals(items: Sequence[Interval], set_order: bool) -> tuple:
     """The order items are taken in (a set's items must not repeat a point)
-    and the slot pool of their endpoints, ranked once."""
-    lefts, rights = _interval_ranks(items)
-    order = range(len(items))
+    and the slot pool of their endpoints' exact keys, which ranks them."""
+    n = len(items)
+    keys = _exact_keys([item.left for item in items] + [item.right for item in items])
+    ends = _key_array(keys)
+    order = range(n)
     if set_order:
-        _check_distinct_points((lefts,), (rights,))
-        order = _set_order(lefts, rights).tolist()
-    return order, _SlotPool(lefts, rights)
+        _check_distinct_points((keys[:n],), (keys[n:],))
+        order = _set_order(ends[:n], ends[n:]).tolist()
+    return order, _SlotPool(ends[:n], ends[n:])
 
 
 def _interval_best_fit(items: Sequence[Interval], k: int, set_order: bool) -> tuple:
@@ -236,14 +295,14 @@ def _interval_best_fit(items: Sequence[Interval], k: int, set_order: bool) -> tu
 
 def greedy_partition_sequence(
     items: Sequence[Interval], k: int
-) -> tuple[int, HeapForest, tuple[TraceStep, ...]]:
+) -> tuple[int, HeapForest, Sequence[TraceStep]]:
     """Minimum partition of an interval sequence into k-ary chains (best fit)."""
     return _interval_best_fit(items, k, set_order=False)
 
 
 def greedy_partition_set(
     items: Sequence[Interval], k: int
-) -> tuple[int, HeapForest, tuple[TraceStep, ...]]:
+) -> tuple[int, HeapForest, Sequence[TraceStep]]:
     """Minimum partition of an interval set: sort by the total order, then best fit.
     Two equal point intervals dominate each other and raise CycleError."""
     return _interval_best_fit(items, k, set_order=True)
@@ -267,7 +326,7 @@ def greedy_partition_permutation(perm: Sequence[int], k: int) -> tuple[int, Heap
 
 def greedy_max_heapable_subset(
     items: Sequence[Interval], k: int
-) -> tuple[tuple[int, ...], HeapForest, tuple[TraceStep, ...]]:
+) -> tuple[tuple[int, ...], HeapForest, Sequence[TraceStep]]:
     """Largest subset of an interval set that forms a single k-ary chain.
 
     Items are taken in the total order; the first roots the tree, and later

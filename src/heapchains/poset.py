@@ -6,9 +6,12 @@ intervals and boxes are exact numbers (``int`` or ``fractions.Fraction``) in
 library mode; the Monte-Carlo simulator feeds plain floats through the same
 types.
 
-Building a poset from intervals, boxes or a permutation ranks coordinates
-once, exactly, and compares the ranks in numpy blocks: O(n^2) work, 8-15 ms
-at n = 2,100 on one Xeon core, plus about 20 us per call.  A poset read from
+Every exact coordinate becomes an order-isomorphic integer key once
+(``_exact_keys``).  Building a poset from intervals, boxes or a permutation
+numbers those keys 0, 1, ... (``_dense_ranks``), so they fit the int64
+blocks in which the dominance kernel compares them: O(n^2) work, 8-15 ms at
+n = 2,100 on one Xeon core, plus about 20 us per call.  The greedy variants
+and the sweep hand the keys to their slot pool unranked.  A poset read from
 relations never touches numpy.
 """
 
@@ -236,28 +239,35 @@ def poset_from_relations(n: int, pairs: Iterable[tuple[int, int]]) -> Poset:
     return Poset(n, closed)
 
 
-def _dense_ranks(values: Sequence[Coord]) -> list[int]:
-    """Order-isomorphic ranks: equal values share one, and rank(a) <= rank(b) iff a <= b.
+def _exact_keys(values: Sequence[Coord]) -> Sequence[int]:
+    """Exact, order-isomorphic int keys: key(a) <= key(b) iff a <= b.
 
     Exact for any mix of int, Fraction and finite float: each value p/q is
     scaled to the integer p * (L // q), where L is the lcm of the
     denominators, so values are only ever compared as ints.  Plain ints (type
-    exactly ``int``, so not bools or numpy integers) are their own keys.
+    exactly ``int``, so not bools or numpy integers) are their own keys, and
+    then ``values`` itself is returned.  Keys can be any size.
     """
     if {*map(type, values)} == {int}:
-        keys = values
-    else:
-        try:
-            ratios = [v.as_integer_ratio() for v in values]
-        except AttributeError:  # numpy integers are Rational but lack the method
-            ratios = [
-                (int(v.numerator), int(v.denominator))
-                if isinstance(v, numbers.Rational)
-                else v.as_integer_ratio()
-                for v in values
-            ]
-        lcm = math.lcm(*{q for _, q in ratios})
-        keys = [p * (lcm // q) for p, q in ratios]
+        return values
+    try:
+        ratios = [v.as_integer_ratio() for v in values]
+    except AttributeError:  # numpy integers are Rational but lack the method
+        ratios = [
+            (int(v.numerator), int(v.denominator))
+            if isinstance(v, numbers.Rational)
+            else v.as_integer_ratio()
+            for v in values
+        ]
+    lcm = math.lcm(*{q for _, q in ratios})
+    return [p * (lcm // q) for p, q in ratios]
+
+
+def _dense_ranks(values: Sequence[Coord]) -> list[int]:
+    """Order-isomorphic ranks 0, 1, ...: equal values share one, and
+    rank(a) <= rank(b) iff a <= b.  The exact keys, ranked, so they are small
+    enough for the dominance kernel's int64 blocks."""
+    keys = _exact_keys(values)
     rank = {key: r for r, key in enumerate(sorted(set(keys)))}
     return [rank[key] for key in keys]
 
@@ -270,10 +280,24 @@ def _interval_ranks(items: Sequence[Interval]) -> tuple[list[int], list[int]]:
 
 def _check_permutation(perm: Iterable[int]) -> list[int]:
     """The sequence as a list of ints; TypeError for values that are not
-    integers (floats, bools), NotAPermutation unless it is a bijection on 0..n-1."""
+    integers (floats, bools), NotAPermutation unless it is a bijection on 0..n-1.
+    The message names the first value out of range or repeated, and its position."""
     seq = [v if v.__class__ is int else _element_id(v) for v in perm]
-    if sorted(seq) != list(range(len(seq))):
-        raise NotAPermutation(f"not a bijection on 0..{len(seq) - 1}: {seq!r}")
+    n = len(seq)
+    if sorted(seq) != list(range(n)):
+        # The loop breaks: n distinct values in 0..n-1 would be a bijection.
+        first: dict[int, int] = {}
+        for pos, value in enumerate(seq):
+            if not 0 <= value < n:
+                problem = "is out of range"
+                break
+            if value in first:
+                problem = f"repeats position {first[value]}"
+                break
+            first[value] = pos
+        raise NotAPermutation(
+            f"not a bijection on 0..{n - 1}: value {value} at position {pos} {problem}"
+        )
     return seq
 
 

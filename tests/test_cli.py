@@ -493,6 +493,16 @@ class TestCliErrors:
         assert run(argv + [str(path)]) == 2
         assert capsys.readouterr().err.startswith(f"error: {path}")
 
+    def test_non_bijection_exit_2_names_first_bad_value(self, capsys, tmp_path):
+        path = tmp_path / "perm.txt"
+        path.write_text("0\n" * 5000)
+        assert run(["permutation", "--k", "2", "--input", str(path), "--trace"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: not a bijection on 0..4999: value 0 at position 1 repeats position 0\n"
+        )
+
     def test_cyclic_poset_exit_2(self, capsys, tmp_path):
         path = tmp_path / "p.json"
         path.write_text(json.dumps({"n": 2, "relations": [[0, 1], [1, 0]]}))

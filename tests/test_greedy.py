@@ -1,3 +1,4 @@
+import collections.abc
 import math
 import random
 import re
@@ -14,6 +15,7 @@ from heapchains import (
     REJECTED,
     Box,
     CycleError,
+    HeapForest,
     IncompatibleChoice,
     Interval,
     NotAPermutation,
@@ -38,7 +40,7 @@ from heapchains import (
     verify_forest,
 )
 from heapchains.greedy import _SlotPool
-from heapchains.poset import _dense_ranks
+from heapchains.poset import _dense_ranks, _exact_keys
 
 from conftest import (
     dominated_pair,
@@ -225,6 +227,21 @@ class TestPermutationPartition:
     def test_rejects_non_bijection(self):
         with pytest.raises(NotAPermutation):
             greedy_partition_permutation((0, 2), 1)
+
+    @pytest.mark.parametrize(
+        "perm, message",
+        [
+            ((0, 2), "not a bijection on 0..1: value 2 at position 1 is out of range"),
+            ((1, -1, 0), "not a bijection on 0..2: value -1 at position 1 is out of range"),
+            ((2, 0, 0, 9), "not a bijection on 0..3: value 0 at position 2 repeats position 1"),
+            ([0] * 5000, "not a bijection on 0..4999: value 0 at position 1 repeats position 0"),
+        ],
+        ids=["out-of-range", "negative", "repeat", "long"],
+    )
+    def test_non_bijection_names_first_bad_value(self, perm, message):
+        with pytest.raises(NotAPermutation) as raised:
+            greedy_partition_permutation(perm, 1)
+        assert str(raised.value) == message
 
 
 class TestMaxHeapableSubset:
@@ -526,6 +543,7 @@ class TestNaiveReference:
         monkeypatch.setattr(math, "lcm", lambda *qs: lcm_calls.append(qs) or lcm(*qs))
         ints = [5, -3, 5, 2**70, -(2**64), 0, -3, 2**63, 2**63 - 1]
         assert _dense_ranks(ints) == [3, 1, 3, 6, 0, 2, 1, 5, 4]
+        assert _exact_keys(ints) is ints
         assert lcm_calls == []
         assert _dense_ranks(ints) == _dense_ranks([Fraction(v) for v in ints])
         for odd in (True, np.int64(7)):
@@ -534,6 +552,13 @@ class TestNaiveReference:
             lcm_calls.clear()
             assert _dense_ranks(mixed) == want
             assert lcm_calls, type(odd)
+
+        # The keys are exact and order-isomorphic, before any ranking.
+        keys = _exact_keys(values)
+        assert all(type(key) is int for key in keys)
+        for a, key_a in zip(values, keys):
+            for b, key_b in zip(values, keys):
+                assert (a <= b) == (key_a <= key_b)
 
     def test_interval_variants(self):
         rng = random.Random(45)
@@ -602,6 +627,141 @@ class TestNaiveReference:
             count, forest = sweep_partition(boxes, k)
             assert count == list(parent.values()).count(None)
             assert forest.parent == parent
+
+
+def _huge_coord(rng, anchors):
+    """An int at or next to one of ``anchors``, or a small int."""
+    if rng.random() < 0.25:
+        return rng.randint(0, 3)
+    return rng.choice(anchors) + rng.randint(-1, 1)
+
+
+def _fraction_coord(rng):
+    """A Fraction over 3**41 or a small denominator: the keys' lcm passes 2**64."""
+    return Fraction(rng.randint(0, 6), rng.choice([1, 2, 7, 3**41, 2 * 3**41]))
+
+
+class TestExactKeys:
+    """Coordinates whose exact keys do not fit int64 (or, as a numpy array
+    guessed by ``np.asarray``, would round to float64): the pool must rank
+    them exactly.  Each variant matches the naive list scan on the original
+    coordinates, and its forest matches the one on ``_dense_ranks`` ranks."""
+
+    ANCHORS = (-(2**63) - 1, 2**63, 2**63 + 1, 2**70)
+
+    def _draws(self, rng):
+        """Per round: one coordinate maker, so each instance is a tied grid."""
+        kind = rng.randrange(3)
+        if kind == 0:  # only 2**63 and 2**63 + 1 near: asarray guesses float64
+            return lambda: _huge_coord(rng, self.ANCHORS[1:3])
+        if kind == 1:
+            return lambda: _huge_coord(rng, self.ANCHORS)
+        return lambda: _fraction_coord(rng)
+
+    def test_interval_variants(self):
+        rng = random.Random(61)
+        for _ in range(300):
+            draw = self._draws(rng)
+            n, k = rng.randint(0, 20), rng.choice((1, 2, 3))
+            items = [Interval(*sorted((draw(), draw()))) for _ in range(n)]
+            ranks = _dense_ranks([item.left for item in items] + [item.right for item in items])
+            ranked = [Interval(ranks[i], ranks[n + i]) for i in range(n)]
+            by_total = sorted(range(n), key=lambda i: (items[i].right, items[i].left))
+
+            parent, trace = _naive_intervals(items, range(n), k)
+            count, forest, got = greedy_partition_sequence(items, k)
+            assert count == list(parent.values()).count(None)
+            assert forest.parent == parent and _typed(got) == _typed(trace)
+            assert greedy_partition_sequence(ranked, k)[1].parent == parent
+            if _repeats_a_point(items):
+                continue
+
+            parent, trace = _naive_intervals(items, by_total, k)
+            count, forest, got = greedy_partition_set(items, k)
+            assert count == list(parent.values()).count(None)
+            assert forest.parent == parent and _typed(got) == _typed(trace)
+            assert greedy_partition_set(ranked, k)[1].parent == parent
+
+            parent, trace = _naive_intervals(items, by_total, k, single_chain=True)
+            subset, forest, got = greedy_max_heapable_subset(items, k)
+            assert subset == tuple(sorted(parent))
+            assert forest.parent == parent and _typed(got) == _typed(trace)
+            assert greedy_max_heapable_subset(ranked, k)[1].parent == parent
+
+    def test_sweep(self):
+        rng = random.Random(62)
+        for _ in range(300):
+            draw = self._draws(rng)
+            n, k = rng.randint(0, 20), rng.choice((1, 2, 3))
+            boxes = []
+            for _ in range(n):
+                x1, x2 = sorted((draw(), draw()))
+                y1, y2 = sorted((draw(), draw()))
+                boxes.append(Box((x1, y1), (x2, y2)))
+            points = [box.lower for box in boxes if box.lower == box.upper]
+            if len(set(points)) < len(points):
+                continue  # a repeated point raises CycleError
+            xs = _dense_ranks([b.lower[0] for b in boxes] + [b.upper[0] for b in boxes])
+            ys = _dense_ranks([b.lower[1] for b in boxes] + [b.upper[1] for b in boxes])
+            ranked = [Box((xs[i], ys[i]), (xs[n + i], ys[n + i])) for i in range(n)]
+            parent = _naive_sweep(boxes, k)
+            count, forest = sweep_partition(boxes, k)
+            assert count == list(parent.values()).count(None)
+            assert forest.parent == parent
+            assert sweep_partition(ranked, k)[1].parent == parent
+
+
+class TestLazyTrace:
+    """``best_fit_trace`` is a read-only sequence that builds steps on read
+    and behaves as the tuple of its steps."""
+
+    def test_behaves_as_the_tuple_of_its_steps(self, s1_items):
+        _, _, trace = greedy_partition_sequence(s1_items, 2)
+        steps = tuple(trace)
+        assert isinstance(trace, collections.abc.Sequence) and not isinstance(trace, tuple)
+        assert trace == steps and steps == trace and trace != steps[:-1]
+        assert trace != list(steps)
+        assert hash(trace) == hash(steps)
+        assert len(trace) == len(steps) == len(s1_items)
+        assert [trace[i] for i in range(-len(steps), len(steps))] == list(steps + steps)
+        for part in (slice(2, 5), slice(None, None, -1), slice(1, -1, 3), slice(7, 2)):
+            assert trace[part] == steps[part] and hash(trace[part]) == hash(steps[part])
+        assert list(reversed(trace)) == list(reversed(steps))
+        assert trace.index(steps[3]) == 3 and steps[3] in trace
+        with pytest.raises(IndexError):
+            trace[len(steps)]
+        with pytest.raises(TypeError):
+            trace[0] = steps[1]
+
+    def test_empty(self):
+        for trace in (greedy_partition_set([], 1)[2], best_fit_trace(HeapForest(1, {}), [], [])):
+            assert () == trace and trace == () and len(trace) == 0
+            assert hash(trace) == hash(()) and list(reversed(trace)) == []
+
+    def test_snapshot_of_forest_and_order(self):
+        items = [Interval(0, 1), Interval(1, 2), Interval(0, 5), Interval(2, 3)]
+        _, forest, trace = greedy_max_heapable_subset(items, 1)
+        steps = tuple(trace)
+        assert REJECTED in {step.kind for step in steps}
+        forest.parent.clear()
+        assert tuple(trace) == steps
+        order, slots = [3, 1, 0], [10, 11, 12, 13]
+        forest = HeapForest(1, {0: None, 1: 0, 3: 1})
+        trace = best_fit_trace(forest, order, slots)
+        steps = tuple(trace)
+        forest.parent[1] = None
+        del forest.parent[3]
+        order.reverse()
+        assert trace == steps == (
+            TraceStep(3, ATTACHED, parent=1, slot=11),
+            TraceStep(1, ATTACHED, parent=0, slot=10),
+            TraceStep(0, NEW_CHAIN),
+        )
+        # Order may be any iterable; it is read once.
+        assert best_fit_trace(forest, iter([2, 1]), slots) == (
+            TraceStep(2, REJECTED),
+            TraceStep(1, NEW_CHAIN),
+        )
 
 
 def _open(pool, owner, lives):
