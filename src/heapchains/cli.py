@@ -51,6 +51,7 @@ from .simulate import (
     MODE_SEQUENCE,
     MODE_SORTED_SET,
     SimConfig,
+    _all_trial_counts,
     estimate_scaling,
     run_process,
     sample_intervals,
@@ -204,6 +205,20 @@ def _cmd_crosscheck(args) -> int:
         check("permutation greedy", greedy_partition_permutation, poset_from_permutation,
               perm, trial)
     print(f"permutation greedy vs flow: {args.trials} trials")
+
+    # Three trials per k and mode, on forked workers wherever the process may
+    # use more than one CPU, however small the instance; drawn last, so the
+    # families above see the same instances with or without this one.
+    for k in (1, 2, 3):
+        n, seed = rng.randint(1, 200), args.seed + k
+        for mode, greedy in ((MODE_SEQUENCE, greedy_partition_sequence),
+                             (MODE_SORTED_SET, greedy_partition_set)):
+            counts = _all_trial_counts(SimConfig(n, k, 3, seed, mode), 0)
+            for trial, got in enumerate(counts):
+                want = greedy(sample_intervals(trial_rng(seed, trial), n), k)[0]
+                if got != want:
+                    failures.append(f"trials {mode} {got} != greedy {want} (trial {trial}, k={k})")
+    print("parallel trials vs greedy: 18 trials")
 
     if failures:
         for line in failures:

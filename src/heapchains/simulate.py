@@ -18,13 +18,32 @@ arrivals' floats.
 Each trial derives its own generator from the root seed by a counter-based
 spawn, so trial order never affects results; ``_draws`` is the one rule
 that turns a trial's generator into its arrivals.
+
+Trials are independent, so ``estimate_scaling`` spreads a large enough call
+over the CPUs the process may run on: with w = min(trials, CPUs) >= 2 on
+Linux, the caller runs trials 0, w, 2w, ... while w - 1 workers forked
+through ``multiprocessing`` run the rest, and the counts are gathered in
+trial order.  CPUs are those of ``os.sched_getaffinity``, capped by the
+process's cgroup v2 CPU quota when it has one.  A call runs serially when w
+< 2, off Linux, inside a daemonic process (which may not have children),
+when any other Python thread is alive (a fork beside other threads can
+deadlock the child), or when it has fewer than ``_FORK_MIN_ARRIVALS``
+arrivals in all, where the fork costs more than it saves.  Results never
+depend on which path ran.  Each worker holds one trial at a time, so a
+forked call's memory is about w times one trial's.  An error in a worker's
+trial is raised again in the caller, a worker that dies raises
+``BrokenProcessPool``, and every worker has exited when the call returns or
+raises.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import os
 import statistics
+import sys
+import threading
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -112,15 +131,87 @@ def normalized_count(count: float, n: int, k: int) -> float:
     return count / math.sqrt(n) if k == 1 else count / n
 
 
-def estimate_scaling(config: SimConfig) -> SimStats:
-    """Independent seeded trials of the process; aggregates per-trial chain counts."""
+def _trial_counts(config: SimConfig, first: int, step: int) -> list[int]:
+    """Chain counts of trials first, first + step, ..., each run on one pool of its draws."""
     counts = []
-    for trial in range(config.trials):
+    for trial in range(first, config.trials, step):
         lefts, rights = _draws(trial_rng(config.seed, trial), config.n)
         if config.mode == MODE_SORTED_SET:
             order = _set_order(lefts, rights)
             lefts, rights = lefts[order], rights[order]
         counts.append(_SlotPool(lefts, rights).run(range(config.n), config.k)[0])
+    return counts
+
+
+# Below this many arrivals (n x trials) a call runs serially.  Measured on a
+# 2-CPU host: a fork cycle (start, hand-back, join) costs about 10 ms in a
+# process that has forked before and about 30 ms more, mostly imports, in
+# one that has not; a trial costs about 1.3 us per arrival.  Forked calls
+# broke even near 30,000 arrivals warm and 65,000 in a cold CLI call, in
+# both modes.
+_FORK_MIN_ARRIVALS = 65_000
+# Where a process finds its cgroup v2 path, and the root that path is under.
+_CGROUP_FILES = ("/proc/self/cgroup", "/sys/fs/cgroup")
+
+
+def _cpus() -> int:
+    """CPUs this process may run on: its affinity mask, capped by a cgroup v2 CPU quota."""
+    cpus = len(os.sched_getaffinity(0))
+    try:
+        with open(_CGROUP_FILES[0], encoding="ascii") as handle:
+            path = next(line[3:].strip() for line in handle if line.startswith("0::"))
+        with open(f"{_CGROUP_FILES[1]}{path.rstrip('/')}/cpu.max", encoding="ascii") as handle:
+            quota, period = handle.read().split()
+        return max(1, min(cpus, math.ceil(int(quota) / int(period))))
+    except (OSError, StopIteration, ValueError):  # no cgroup v2, or a quota of "max"
+        return cpus
+
+
+def _processes(config: SimConfig, min_arrivals: int) -> int:
+    """How many processes share the trials, the caller included; 1 runs them serially."""
+    if config.n * config.trials < min_arrivals:
+        return 1
+    if sys.platform != "linux" or threading.active_count() > 1:
+        return 1  # forking beside another thread can copy a lock it holds
+    mp = sys.modules.get("multiprocessing")
+    if mp is not None and mp.current_process().daemon:
+        return 1  # a daemonic process may not start children
+    return min(config.trials, _cpus())
+
+
+def _all_trial_counts(config: SimConfig, min_arrivals: int) -> list[int]:
+    """Every trial's count, in trial order; of w processes, the caller runs trials 0, w, ...
+
+    ``min_arrivals`` is the fewest arrivals that fork; ``crosscheck`` passes
+    0 to check the forked path on small instances.
+    """
+    w = _processes(config, min_arrivals)
+    if w < 2:
+        return _trial_counts(config, 0, 1)
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    # numpy loads numpy.random only on first use; loaded here, before the
+    # fork, it is not imported again in every worker (about 40 ms each).
+    import numpy.random  # noqa: F401
+
+    counts = [0] * config.trials
+    # A worker that dies raises BrokenProcessPool here rather than leaving
+    # the caller waiting for its trials; shutdown joins every worker.
+    pool = ProcessPoolExecutor(w - 1, mp_context=multiprocessing.get_context("fork"))
+    try:
+        theirs = [pool.submit(_trial_counts, config, first, w) for first in range(1, w)]
+        counts[0::w] = _trial_counts(config, 0, w)
+        for first, future in enumerate(theirs, 1):
+            counts[first::w] = future.result()
+    finally:
+        pool.shutdown(cancel_futures=True)
+    return counts
+
+
+def estimate_scaling(config: SimConfig) -> SimStats:
+    """Independent seeded trials of the process; aggregates per-trial chain counts."""
+    counts = _all_trial_counts(config, _FORK_MIN_ARRIVALS)
     mean = statistics.fmean(counts)
     stderr = (
         statistics.stdev(counts) / math.sqrt(config.trials) if config.trials > 1 else 0.0

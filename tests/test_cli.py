@@ -19,6 +19,7 @@ from heapchains import (
     greedy_partition_sequence,
     greedy_partition_set,
     run_process,
+    simulate,
     verify_forest,
 )
 from heapchains.cli import run
@@ -419,6 +420,21 @@ class TestCliCommands:
             assert f"MISMATCH: {label} " in captured.err
             assert "all checks passed" not in captured.out
 
+    def test_crosscheck_checks_forked_trials(self, capsys, monkeypatch):
+        # With two CPUs a worker runs the odd trials; giving only the forked
+        # workers other draws must fail exactly those trials, in both modes.
+        real, caller = simulate.trial_rng, os.getpid()
+
+        def worker_off(seed, trial):
+            return real(seed + (os.getpid() != caller), trial)
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr("heapchains.simulate.trial_rng", worker_off)
+        assert run(["crosscheck", "--trials", "12", "--seed", "7"]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert {line.split(" ", 3)[2] for line in lines} == {"seq", "set"}
+        assert all(int(re.search(r"trial (\d+)", line)[1]) % 2 for line in lines)
+
     def test_crosscheck_rejects_invalid_witness(self, capsys, monkeypatch):
         def all_roots(items, k):  # the right count, but every item starts its own chain
             count, forest, trace = greedy_partition_sequence(items, k)
@@ -605,10 +621,12 @@ def _fresh_python(code: str, *args: str) -> str:
 class TestImportFootprint:
     def test_cli_imports_no_optional_packages(self):
         # sortedcontainers is no longer a dependency; scipy and networkx
-        # would add their import time and memory to every CLI call.
+        # would add their import time and memory to every CLI call, and
+        # multiprocessing loads only when simulation trials fork.
         code = (
             "import sys, heapchains.cli; "
-            "print(sorted({'sortedcontainers', 'scipy', 'networkx'} & set(sys.modules)))"
+            "print(sorted({'sortedcontainers', 'scipy', 'networkx', 'multiprocessing',"
+            " 'concurrent.futures'} & set(sys.modules)))"
         )
         assert _fresh_python(code).strip() == "[]"
 
