@@ -4,15 +4,25 @@ Decimal coordinates are parsed exactly (as rationals), never through binary
 floating point, so file-based inputs behave identically to in-memory exact
 inputs.
 
-``parse_exact`` reads a plain ASCII decimal such as ``-12.345`` without
-``Fraction``'s regex: the text is the integer ``-12345`` over ``10**3``, and
-``Fraction(-12345, 1000)`` is exactly what ``Fraction("-12.345")`` computes
-from the same digits.  Only texts no longer than the integer digit limit take
-this route, so neither integer can exceed the limit where ``Fraction`` would
-not.  Every other text goes to ``int()`` when it is a plain integer and to
-``Fraction`` itself otherwise (``_`` groups, exponents, ``p/q``, spaces,
-non-ASCII digits, ``5.``), so their values and error messages are the ones
-those constructors give.
+Every number is read as a ratio (p, q) by one parser, ``_ratio``.  A text
+without a decimal point goes to ``int()`` first, as (value, 1).  A plain
+ASCII decimal such as ``-12.345`` skips ``Fraction``'s regex: it is the
+integer ``-12345`` over ``10**3``, exactly what ``Fraction("-12.345")``
+computes from the same digits.  Only texts no longer than the integer digit
+limit take this route, so neither integer can exceed the limit where
+``Fraction`` would not.  Every other text goes to ``Fraction`` itself (``_``
+groups beside a point, exponents, ``p/q``, non-ASCII digits, ``5.``), so its
+value and error message are the ones that constructor gives.  ``parse_exact``
+returns the ratio's value: an int when it is integral, else a Fraction.
+
+The interval and box CSV loaders build no ``Fraction``, ``Interval`` or
+``Box`` per row.  Each row's ratios are checked as the row is read (field
+count, numbers, then order, by cross-multiplying), so the first bad line is
+the one an error names, with the message the item's constructor gives.  At
+the end the file's ratios are scaled to one common denominator
+(``poset._scale``, the step ``_exact_keys`` uses too), and the loader returns
+the int key columns as a lazy read-only sequence, ``poset._KeyedItems``: it
+builds an item only when one is read, and the solvers read its columns.
 """
 
 from __future__ import annotations
@@ -21,6 +31,7 @@ import json
 import re
 import sys
 from fractions import Fraction
+from typing import Sequence
 
 from .poset import (
     Box,
@@ -32,6 +43,10 @@ from .poset import (
     Poset,
     _check_arity,
     _element_id,
+    _exact_value,
+    _KeyedItems,
+    _row_item,
+    _scale,
     poset_from_relations,
 )
 
@@ -42,19 +57,21 @@ class InputFormatError(ValueError):
     """Malformed input file; message names the file and line."""
 
 
-def parse_exact(text: str) -> Coord:
-    """Exact numeric parse of a decimal string; integers stay ints.  As in
-    ``int()``, more than ``sys.get_int_max_str_digits()`` digits in the numerator
-    or denominator raise ValueError; an exponent is judged before its power."""
+def _digit_limit() -> int:
+    # Python 3.10.0 to 3.10.6 lack the function; their int() has no limit (0).
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+def _ratio(text: str, limit: int) -> tuple[int, int]:
+    """``parse_exact``'s value of ``text`` as (p, q), q > 0, not always in
+    lowest terms; ``limit`` is the integer digit limit."""
     # int() accepts a subset of the strings Fraction() does, with the same
     # value, and is much faster; a decimal point would only make it raise.
     if "." not in text:
         try:
-            return int(text)
+            return int(text), 1
         except ValueError:
             pass
-    # Python 3.10.0 to 3.10.6 lack the function; their int() has no limit (0).
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     # A plain ASCII decimal, [-+]?[0-9]*\.[0-9]+, read as in the module docstring.
     whole, _, frac = text.partition(".")
     digits = whole[1:] if whole[:1] in "+-" else whole  # "" has [:1] == "", which is in "+-"
@@ -64,18 +81,24 @@ def parse_exact(text: str) -> Coord:
         and (digits.isdigit() or not digits)
         and (not limit or len(text) <= limit)
     ):
-        value = Fraction(int(whole + frac), 10 ** len(frac))
-    else:
-        exponent = limit and ("e" in text or "E" in text) and _EXPONENT.search(text)
-        if exponent and abs(int(exponent[1])) > limit + len(text):
-            raise ValueError(f"exponent too large: the value exceeds the {limit}-digit limit")
-        try:
-            value = Fraction(text)
-        except ZeroDivisionError:
-            raise ValueError(f"zero denominator: {text!r}") from None
-        if exponent or 0 < limit < len(text):  # else neither has more digits than text
-            str(value.numerator), str(value.denominator)  # str() raises past the limit, as int() does
-    return int(value) if value.denominator == 1 else value
+        return int(whole + frac), 10 ** len(frac)
+    exponent = limit and ("e" in text or "E" in text) and _EXPONENT.search(text)
+    if exponent and abs(int(exponent[1])) > limit + len(text):
+        raise ValueError(f"exponent too large: the value exceeds the {limit}-digit limit")
+    try:
+        value = Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator: {text!r}") from None
+    if exponent or 0 < limit < len(text):  # else neither has more digits than text
+        str(value.numerator), str(value.denominator)  # str() raises past the limit, as int() does
+    return value.numerator, value.denominator
+
+
+def parse_exact(text: str) -> Coord:
+    """Exact numeric parse of a decimal string; integers stay ints.  As in
+    ``int()``, more than ``sys.get_int_max_str_digits()`` digits in the numerator
+    or denominator raise ValueError; an exponent is judged before its power."""
+    return _exact_value(*_ratio(text, _digit_limit()))
 
 
 def _read_text(path) -> str:
@@ -107,28 +130,38 @@ def _json(path):
         raise InputFormatError(f"{path}: invalid JSON: nested too deeply") from exc
 
 
-def _rows(path, fields: int, make) -> list:
-    """``make`` applied to each line's ``fields`` comma-separated exact numbers."""
-    items = []
+def _rows(path, kind: type, fields: int) -> Sequence:
+    """The ``kind`` items of each line's ``fields`` comma-separated exact
+    numbers, as key columns on the file's one scale (see the module
+    docstring).  A row's field count, numbers and order are all checked
+    before the next row is read, so the first bad line is the one named."""
+    limit, half = _digit_limit(), fields // 2
+    ratios: list[tuple[int, int]] = []
     for lineno, line in _lines(path):
-        row = [field.strip() for field in line.split(",")]
+        row = line.split(",")
         if len(row) != fields:
             raise InputFormatError(f"{path}:{lineno}: expected {fields} fields, got {len(row)}")
         try:
-            items.append(make(*map(parse_exact, row)))
+            row = [_ratio(field.strip(), limit) for field in row]
+            # Low <= high on each axis, cross-multiplied: denominators are positive.
+            for (p, q), (r, s) in zip(row, row[half:]):
+                if p * s > r * q:
+                    _row_item(kind, [_exact_value(*ratio) for ratio in row])  # raises its error
         except ValueError as exc:
             raise InputFormatError(f"{path}:{lineno}: {exc}") from exc
-    return items
+        ratios += row
+    keys, scale = _scale(ratios)
+    return _KeyedItems(kind, [keys[c::fields] for c in range(fields)], scale)
 
 
-def load_intervals_csv(path) -> list[Interval]:
-    """One 'left,right' pair per line."""
-    return _rows(path, 2, Interval)
+def load_intervals_csv(path) -> Sequence[Interval]:
+    """One 'left,right' pair per line, as a lazy read-only sequence."""
+    return _rows(path, Interval, 2)
 
 
-def load_boxes_csv(path) -> list[Box]:
-    """One 'lx,ly,ux,uy' quadruple per line."""
-    return _rows(path, 4, lambda lx, ly, ux, uy: Box((lx, ly), (ux, uy)))
+def load_boxes_csv(path) -> Sequence[Box]:
+    """One 'lx,ly,ux,uy' quadruple per line, as a lazy read-only sequence."""
+    return _rows(path, Box, 4)
 
 
 def load_permutation(path) -> list[int]:

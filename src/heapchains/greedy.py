@@ -13,8 +13,8 @@ is the relation best-fit insertion preserves.
 Slot multisets are plain iterables of exact numeric values; signatures are
 sorted tuples.
 
-The partition algorithms turn all endpoints into exact, order-isomorphic
-int keys (``poset._exact_keys``) and hold them in one numpy array,
+The partition algorithms take all endpoints as exact, order-isomorphic
+int keys (``poset._key_columns``) and hold them in one numpy array,
 ``_key_array``.  One counted slot pool, ``_SlotPool``, ranks each item's
 bound and slot value from those keys, the only ranking they get: one rank
 per owner with the tie rule built in, and each rank's unused lives; callers
@@ -25,7 +25,7 @@ max-heapable subset (with ``reject``), the sweep line of
 Every trace comes from ``best_fit_trace``, which reports slots by original
 coordinate.  A trace is a read-only sequence that builds each step when it
 is read, so a caller who never reads it pays only for a copy of the order
-and of each item's parent.
+and of each item's parent, and never reads an item.
 """
 
 from __future__ import annotations
@@ -34,9 +34,9 @@ import collections.abc
 from bisect import bisect_right, insort
 from dataclasses import dataclass
 from itertools import repeat
-from typing import TYPE_CHECKING, Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence
 
-from .poset import Coord, HeapForest, Interval, _check_arity, _check_permutation, _exact_keys
+from .poset import Coord, HeapForest, Interval, _check_arity, _check_permutation, _key_columns
 from .poset import _check_distinct_points
 
 if TYPE_CHECKING:
@@ -220,27 +220,27 @@ class _SlotPool:
 class _Trace(collections.abc.Sequence):
     """Read-only sequence of TraceSteps: item ``order[j]`` took a slot of
     ``owners[j]`` (None for a new chain, -1 if rejected), valued at
-    ``slots[owner]``.  Each step is built when it is read.  It equals, and
+    ``slot_of(owner)``.  Each step is built when it is read.  It equals, and
     hashes as, the tuple of its steps."""
 
-    __slots__ = ("_order", "_owners", "_slots")
+    __slots__ = ("_order", "_owners", "_slot_of")
 
-    def __init__(self, order: tuple, owners: list, slots: Sequence):
-        self._order, self._owners, self._slots = order, owners, slots
+    def __init__(self, order: tuple, owners: list, slot_of: Callable[[int], Coord]):
+        self._order, self._owners, self._slot_of = order, owners, slot_of
 
     def _step(self, item: int, owner: Optional[int]) -> TraceStep:
         if owner is None:
             return TraceStep(item, NEW_CHAIN)
         if owner == -1:
             return TraceStep(item, REJECTED)
-        return TraceStep(item, ATTACHED, parent=owner, slot=self._slots[owner])
+        return TraceStep(item, ATTACHED, parent=owner, slot=self._slot_of(owner))
 
     def __len__(self) -> int:
         return len(self._order)
 
     def __getitem__(self, index):
         if isinstance(index, slice):
-            return _Trace(self._order[index], self._owners[index], self._slots)
+            return _Trace(self._order[index], self._owners[index], self._slot_of)
         return self._step(self._order[index], self._owners[index])
 
     def __iter__(self):
@@ -268,29 +268,38 @@ def best_fit_trace(forest: HeapForest, order: Iterable, slots: Sequence) -> Sequ
     parent when it is made, so later edits to them or to ``forest.parent``
     leave it unchanged; ``slots`` is read when a step is read.
     """
+    return _trace(forest, order, slots.__getitem__)
+
+
+def _trace(forest: HeapForest, order: Iterable, slot_of: Callable[[int], Coord]) -> _Trace:
     order = tuple(order)
-    return _Trace(order, list(map(forest.parent.get, order, repeat(-1))), slots)
+    return _Trace(order, list(map(forest.parent.get, order, repeat(-1))), slot_of)
 
 
 def _ranked_intervals(items: Sequence[Interval], set_order: bool) -> tuple:
     """The order items are taken in (a set's items must not repeat a point)
     and the slot pool of their endpoints' exact keys, which ranks them."""
-    n = len(items)
-    keys = _exact_keys([item.left for item in items] + [item.right for item in items])
-    ends = _key_array(keys)
+    (lefts,), (rights,) = _key_columns(items, Interval)
+    n = len(lefts)
+    ends = _key_array(lefts + rights)
     order = range(n)
     if set_order:
-        _check_distinct_points((keys[:n],), (keys[n:],))
+        _check_distinct_points((lefts,), (rights,))
         order = _set_order(ends[:n], ends[n:]).tolist()
     return order, _SlotPool(ends[:n], ends[n:])
 
 
-def _interval_best_fit(items: Sequence[Interval], k: int, set_order: bool) -> tuple:
+def _interval_best_fit(
+    items: Sequence[Interval], k: int, set_order: bool, reject: bool = False
+) -> tuple:
+    """Best fit over the items in sequence or set order: the chain-start
+    count, the forest of the items that took, and the trace, which reads an
+    item (for its right endpoint) only when a step that names it is read."""
     k = _check_arity(k)
     order, pool = _ranked_intervals(items, set_order)
-    count, parent = pool.run(order, k)
-    forest = HeapForest(k, {i: parent[i] for i in order})
-    return count, forest, best_fit_trace(forest, order, [item.right for item in items])
+    count, taken = pool.run(order, k, reject)
+    forest = HeapForest(k, {i: taken[i] for i in order if taken[i] != -1})
+    return count, forest, _trace(forest, order, lambda owner: items[owner].right)
 
 
 def greedy_partition_sequence(
@@ -333,13 +342,8 @@ def greedy_max_heapable_subset(
     items either attach best-fit or are rejected outright (rejected items
     never open slots).  Two equal point intervals raise CycleError.
     """
-    k = _check_arity(k)
-    order, pool = _ranked_intervals(items, set_order=True)
-    taken = pool.run(order, k, reject=True)[1]
-    parent = {i: taken[i] for i in order if taken[i] != -1}
-    forest = HeapForest(k, parent)
-    trace = best_fit_trace(forest, order, [item.right for item in items])
-    return tuple(sorted(parent)), forest, trace
+    _, forest, trace = _interval_best_fit(items, k, set_order=True, reject=True)
+    return tuple(sorted(forest.parent)), forest, trace
 
 
 def chain_signatures(

@@ -6,17 +6,22 @@ intervals and boxes are exact numbers (``int`` or ``fractions.Fraction``) in
 library mode; the Monte-Carlo simulator feeds plain floats through the same
 types.
 
-Every exact coordinate becomes an order-isomorphic integer key once
-(``_exact_keys``).  Building a poset from intervals, boxes or a permutation
-numbers those keys 0, 1, ... (``_dense_ranks``), so they fit the int64
-blocks in which the dominance kernel compares them: O(n^2) work, 8-15 ms at
-n = 2,100 on one Xeon core, plus about 20 us per call.  The greedy variants
-and the sweep hand the keys to their slot pool unranked.  A poset read from
-relations never touches numpy.
+Every exact coordinate becomes an order-isomorphic integer key once, by one
+step that scales exact ratios p/q to a common denominator (``_scale``).
+Items built in memory reach it through ``_exact_keys``.  A CSV file is
+loaded as a ``_KeyedItems``: key columns on the file's one scale, whose
+``Interval`` or ``Box`` objects are built only when read.  ``_key_columns``
+hands either route's keys to the solvers.  Building a poset from intervals,
+boxes or a permutation numbers those keys 0, 1, ... (``_dense_ranks``), so
+they fit the int64 blocks in which the dominance kernel compares them:
+O(n^2) work, 8-15 ms at n = 2,100 on one Xeon core, plus about 20 us per
+call.  The greedy variants and the sweep hand the keys to their slot pool
+unranked.  A poset read from relations never touches numpy.
 """
 
 from __future__ import annotations
 
+import collections.abc
 import math
 import numbers
 import operator
@@ -239,14 +244,31 @@ def poset_from_relations(n: int, pairs: Iterable[tuple[int, int]]) -> Poset:
     return Poset(n, closed)
 
 
+def _scale(ratios: Sequence[tuple[int, int]]) -> tuple[list[int], int]:
+    """Exact ratios p/q (q > 0) as int keys on one scale L, the lcm of the
+    denominators: key p * (L // q) is the value times L, so the keys are
+    order-isomorphic to the values and key / L gives each value back.
+    Returns the keys and L."""
+    lcm = math.lcm(*{q for _, q in ratios})
+    return [p * (lcm // q) for p, q in ratios], lcm
+
+
+def _exact_value(p: int, q: int) -> Coord:
+    """The value p/q (q > 0): an int when it is integral, else a Fraction."""
+    if q == 1:
+        return p
+    value = Fraction(p, q)
+    return value.numerator if value.denominator == 1 else value
+
+
 def _exact_keys(values: Sequence[Coord]) -> Sequence[int]:
     """Exact, order-isomorphic int keys: key(a) <= key(b) iff a <= b.
 
-    Exact for any mix of int, Fraction and finite float: each value p/q is
-    scaled to the integer p * (L // q), where L is the lcm of the
-    denominators, so values are only ever compared as ints.  Plain ints (type
-    exactly ``int``, so not bools or numpy integers) are their own keys, and
-    then ``values`` itself is returned.  Keys can be any size.
+    Exact for any mix of int, Fraction and finite float: the values' integer
+    ratios go through ``_scale``, so values are only ever compared as ints.
+    Plain ints (type exactly ``int``, so not bools or numpy integers) are
+    their own keys, and then ``values`` itself is returned.  Keys can be any
+    size.
     """
     if {*map(type, values)} == {int}:
         return values
@@ -259,8 +281,72 @@ def _exact_keys(values: Sequence[Coord]) -> Sequence[int]:
             else v.as_integer_ratio()
             for v in values
         ]
-    lcm = math.lcm(*{q for _, q in ratios})
-    return [p * (lcm // q) for p, q in ratios]
+    return _scale(ratios)[0]
+
+
+def _row_item(kind: type, values: Sequence[Coord]):
+    """The item of one CSV row: an Interval from (left, right), a Box from
+    (lower x, lower y, upper x, upper y).  Raises the type's ValueError when
+    the row is out of order."""
+    if kind is Interval:
+        return Interval(*values)
+    return Box(tuple(values[:2]), tuple(values[2:]))
+
+
+class _KeyedItems(collections.abc.Sequence):
+    """Read-only sequence of intervals or boxes (``kind``) held as columns of
+    exact int keys on one scale, in CSV field order: coordinate c of item i
+    is ``columns[c][i] / scale``.  Each item is built when it is read, with
+    an int coordinate where the value is integral and a Fraction elsewhere.
+    It equals a list of equal items and, like a list, is unhashable."""
+
+    __slots__ = ("_kind", "_columns", "_scale")
+
+    def __init__(self, kind: type, columns: Sequence[list[int]], scale: int):
+        self._kind, self._columns, self._scale = kind, tuple(columns), scale
+
+    def _item(self, *keys: int):
+        return _row_item(self._kind, [_exact_value(key, self._scale) for key in keys])
+
+    def __len__(self) -> int:
+        return len(self._columns[0])
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return _KeyedItems(self._kind, [column[index] for column in self._columns], self._scale)
+        return self._item(*[column[index] for column in self._columns])
+
+    def __iter__(self):
+        return map(self._item, *self._columns)
+
+    def __eq__(self, other):
+        if isinstance(other, (list, _KeyedItems)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    __hash__ = None
+
+    def __repr__(self):
+        return f"_KeyedItems({list(self)!r})"
+
+
+def _key_columns(items: Sequence, kind: type) -> tuple[tuple[list[int], ...], ...]:
+    """Exact int keys of the items' low and high coordinates, one column
+    each: ((left,), (right,)) for intervals, ((lower x, lower y), (upper x,
+    upper y)) for boxes.  An axis's low and high columns share one scale.
+    Items loaded from a file (a ``_KeyedItems`` of ``kind``) hand over their
+    own columns; any other sequence has its coordinates read and keyed by
+    ``_exact_keys``, one call per axis."""
+    if isinstance(items, _KeyedItems) and items._kind is kind:
+        half = len(items._columns) // 2
+        return items._columns[:half], items._columns[half:]
+    n = len(items)
+    if kind is Interval:
+        axes = [([item.left for item in items], [item.right for item in items])]
+    else:
+        axes = [([box.lower[a] for box in items], [box.upper[a] for box in items]) for a in (0, 1)]
+    keys = [_exact_keys(low + high) for low, high in axes]
+    return tuple(k[:n] for k in keys), tuple(k[n:] for k in keys)
 
 
 def _dense_ranks(values: Sequence[Coord]) -> list[int]:
@@ -274,8 +360,9 @@ def _dense_ranks(values: Sequence[Coord]) -> list[int]:
 
 def _interval_ranks(items: Sequence[Interval]) -> tuple[list[int], list[int]]:
     """Left and right endpoint ranks, ranked together."""
-    ranks = _dense_ranks([item.left for item in items] + [item.right for item in items])
-    return ranks[: len(items)], ranks[len(items) :]
+    (lefts,), (rights,) = _key_columns(items, Interval)
+    ranks = _dense_ranks(lefts + rights)
+    return ranks[: len(lefts)], ranks[len(lefts) :]
 
 
 def _check_permutation(perm: Iterable[int]) -> list[int]:
@@ -354,9 +441,9 @@ def poset_from_interval_sequence(items: Sequence[Interval]) -> Poset:
 
 def poset_from_box_set(items: Sequence[Box]) -> Poset:
     """Box dominance: componentwise upper(i) <= lower(j)."""
-    n = len(items)
-    xs = _dense_ranks([box.lower[0] for box in items] + [box.upper[0] for box in items])
-    ys = _dense_ranks([box.lower[1] for box in items] + [box.upper[1] for box in items])
+    (lo_xs, lo_ys), (hi_xs, hi_ys) = _key_columns(items, Box)
+    n = len(lo_xs)
+    xs, ys = _dense_ranks(lo_xs + hi_xs), _dense_ranks(lo_ys + hi_ys)
     return _dominance_poset((xs[:n], ys[:n]), (xs[n:], ys[n:]))
 
 

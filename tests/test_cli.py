@@ -4,6 +4,7 @@ import random
 import re
 import subprocess
 import sys
+import tempfile
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -23,7 +24,14 @@ from heapchains import (
     verify_forest,
 )
 from heapchains.cli import run
-from heapchains.poset import CycleError, HeapForest, IdOutOfRange, Interval, poset_from_relations
+from heapchains.poset import (
+    Box,
+    CycleError,
+    HeapForest,
+    IdOutOfRange,
+    Interval,
+    poset_from_relations,
+)
 
 from conftest import S1_PAIRS
 
@@ -56,7 +64,67 @@ _decimal_texts = st.one_of(
 ).map("".join)
 
 
+# Every text form the CSV loaders read: the texts above, p/q, exponents, and
+# the keys past int64 of CI's huge.csv.
+_exact_texts = st.one_of(
+    _decimal_texts,
+    st.builds("{}/{}".format, st.integers(-99, 99), st.integers(1, 40)),
+    st.builds("{}e{}".format, st.integers(-99, 99), st.integers(-3, 3)),
+    st.sampled_from([
+        "18446744073709551616", "-9223372036854775809", "9223372036854775808",
+        "9223372036854775809", "1/3",
+    ]),
+)
+
+
+def _parses(text):
+    try:
+        formats.parse_exact(text)
+    except ValueError:
+        return False
+    return True
+
+
+def _typed_coords(*values):
+    return [(value, type(value)) for value in values]
+
+
 class TestFormats:
+    @given(st.lists(st.lists(_exact_texts.filter(_parses), min_size=4, max_size=4), max_size=8))
+    @example([  # CI's huge.csv as the intervals
+        ["0", "18446744073709551616", "0.5", "1_000"],
+        ["-9223372036854775809", "3", "7/3", " 5 "],
+        ["9223372036854775808", "9223372036854775809", "1e3", "-0.25"],
+        ["1/3", "2", "\u0663", "12.345"],
+    ])
+    @settings(max_examples=100, deadline=None)
+    def test_loaders_match_parse_exact_field_by_field(self, rows):
+        # Each row names an interval (its first two texts) and a box, every
+        # axis ordered by value, so both files load.
+        def ordered(*texts):
+            return tuple(sorted(texts, key=formats.parse_exact))
+
+        intervals = [ordered(row[0], row[1]) for row in rows]
+        boxes = [(ordered(row[0], row[2]), ordered(row[1], row[3])) for row in rows]
+        with tempfile.TemporaryDirectory() as tmp:
+            iv_path, bx_path = Path(tmp, "iv.csv"), Path(tmp, "bx.csv")
+            iv_path.write_text("".join(f"{a},{b}\n" for a, b in intervals), encoding="utf-8")
+            bx_path.write_text(
+                "".join(f"{lx},{ly},{ux},{uy}\n" for (lx, ux), (ly, uy) in boxes), encoding="utf-8"
+            )
+            loaded_intervals = formats.load_intervals_csv(iv_path)
+            loaded_boxes = formats.load_boxes_csv(bx_path)
+        assert len(loaded_intervals) == len(loaded_boxes) == len(rows)
+        for item, texts in zip(loaded_intervals, intervals):
+            want = [formats.parse_exact(text) for text in texts]
+            assert item == Interval(*want)
+            assert _typed_coords(item.left, item.right) == _typed_coords(*want)
+        for i, ((lx, ux), (ly, uy)) in enumerate(boxes):
+            box = loaded_boxes[i]
+            want = [formats.parse_exact(text) for text in (lx, ly, ux, uy)]
+            assert box == Box(tuple(want[:2]), tuple(want[2:]))
+            assert _typed_coords(*box.lower, *box.upper) == _typed_coords(*want)
+
     def test_decimals_parse_exactly(self, tmp_path):
         path = tmp_path / "iv.csv"
         path.write_text("0.1,0.25\n2,3\n")
@@ -174,6 +242,37 @@ class TestFormats:
         path.write_bytes(data)
         with pytest.raises(formats.InputFormatError, match=re.escape(f"{path}{where}")):
             load(path)
+
+    @pytest.mark.parametrize(
+        "load, data, where",
+        [
+            (formats.load_intervals_csv, b"1,2\n5,2\n1/0,3\n",
+             ":2: interval endpoints out of order: [5, 2]"),
+            (formats.load_boxes_csv, b"0,0,1,1\n2,0,1,1\n0,0,1/0,1\n",
+             ":2: box corners out of order: (2, 0) / (1, 1)"),
+        ],
+        ids=["intervals", "boxes"],
+    )
+    def test_first_bad_row_is_named_before_later_rows_parse(self, tmp_path, load, data, where):
+        # Line 3 does not parse; line 2 is out of order and comes first.
+        path = tmp_path / "bad"
+        path.write_bytes(data)
+        with pytest.raises(formats.InputFormatError) as info:
+            load(path)
+        assert str(info.value) == f"{path}{where}"
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no digit limit")
+    @pytest.mark.parametrize("load, row", [(formats.load_intervals_csv, "0,{}"),
+                                           (formats.load_boxes_csv, "0,0,{},1")])
+    def test_decimal_past_digit_limit_rejected(self, tmp_path, load, row):
+        text = "1." + "1" * sys.get_int_max_str_digits()
+        with pytest.raises(ValueError, match=r"^Exceeds the limit \(\d+ digits\)") as want:
+            formats.parse_exact(text)
+        path = tmp_path / "long.csv"
+        path.write_text(row.format(1) + "\n" + row.format(text) + "\n")
+        with pytest.raises(formats.InputFormatError) as info:
+            load(path)
+        assert str(info.value) == f"{path}:2: {want.value}"
 
     def test_boxes_roundtrip(self, tmp_path):
         path = tmp_path / "bx.csv"

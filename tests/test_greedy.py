@@ -32,6 +32,7 @@ from heapchains import (
     k_width,
     max_clique_intervals,
     oracle_max_heapable,
+    poset_from_box_set,
     poset_from_interval_sequence,
     poset_from_interval_set,
     poset_from_permutation,
@@ -641,11 +642,45 @@ def _fraction_coord(rng):
     return Fraction(rng.randint(0, 6), rng.choice([1, 2, 7, 3**41, 2 * 3**41]))
 
 
+def _csv_text(rng, value):
+    """One of the texts the CSV loaders read as ``value``: p/q (in lowest
+    terms or not), and for a value with a short decimal expansion a plain
+    decimal or, for an integer, an int or an exponent."""
+    value = Fraction(value)
+    p, q = value.numerator, value.denominator
+    forms = [f"{p}/{q}", f" {2 * p}/{2 * q} "]
+    if q == 1:
+        forms += [str(p), f"{p}e0"]
+    if 10**6 * p % q == 0:
+        micro = abs(10**6 * p // q)
+        forms.append(f"{'-' if p < 0 else ''}{micro // 10**6}.{micro % 10**6:06d}")
+    return rng.choice(forms)
+
+
+def _loaded(rng, path, rows, load):
+    """Rows of exact coordinates written to a CSV file, each number in a
+    random text form, then loaded back."""
+    path.write_text("".join(",".join(_csv_text(rng, v) for v in row) + "\n" for row in rows))
+    return load(path)
+
+
+def _both_routes(solve, loaded, *args):
+    """``solve`` on loaded items (their key columns) and on the same items
+    built in memory (``_exact_keys``): equal answers, traces typed alike."""
+    got, want = solve(loaded, *args), solve(list(loaded), *args)
+    assert got == want
+    if isinstance(got, tuple) and len(got) == 3:
+        assert _typed(got[2]) == _typed(want[2])
+    return got
+
+
 class TestExactKeys:
     """Coordinates whose exact keys do not fit int64 (or, as a numpy array
     guessed by ``np.asarray``, would round to float64): the pool must rank
     them exactly.  Each variant matches the naive list scan on the original
-    coordinates, and its forest matches the one on ``_dense_ranks`` ranks."""
+    coordinates, and its forest matches the one on ``_dense_ranks`` ranks.
+    The same items written to a CSV file and loaded give the same answers
+    from the file's key columns as from the items they build."""
 
     ANCHORS = (-(2**63) - 1, 2**63, 2**63 + 1, 2**70)
 
@@ -658,7 +693,7 @@ class TestExactKeys:
             return lambda: _huge_coord(rng, self.ANCHORS)
         return lambda: _fraction_coord(rng)
 
-    def test_interval_variants(self):
+    def test_interval_variants(self, tmp_path):
         rng = random.Random(61)
         for _ in range(300):
             draw = self._draws(rng)
@@ -667,28 +702,42 @@ class TestExactKeys:
             ranks = _dense_ranks([item.left for item in items] + [item.right for item in items])
             ranked = [Interval(ranks[i], ranks[n + i]) for i in range(n)]
             by_total = sorted(range(n), key=lambda i: (items[i].right, items[i].left))
+            rows = [(item.left, item.right) for item in items]
+            loaded = _loaded(rng, tmp_path / "iv.csv", rows, formats.load_intervals_csv)
+            assert loaded == items
 
             parent, trace = _naive_intervals(items, range(n), k)
             count, forest, got = greedy_partition_sequence(items, k)
             assert count == list(parent.values()).count(None)
             assert forest.parent == parent and _typed(got) == _typed(trace)
             assert greedy_partition_sequence(ranked, k)[1].parent == parent
+            assert _both_routes(greedy_partition_sequence, loaded, k)[1].parent == parent
+            _both_routes(poset_from_interval_sequence, loaded)
             if _repeats_a_point(items):
+                for route in (loaded, list(loaded)):
+                    for solve in (greedy_partition_set, greedy_max_heapable_subset):
+                        with pytest.raises(CycleError):
+                            solve(route, k)
+                    with pytest.raises(CycleError):
+                        poset_from_interval_set(route)
                 continue
+            _both_routes(poset_from_interval_set, loaded)
 
             parent, trace = _naive_intervals(items, by_total, k)
             count, forest, got = greedy_partition_set(items, k)
             assert count == list(parent.values()).count(None)
             assert forest.parent == parent and _typed(got) == _typed(trace)
             assert greedy_partition_set(ranked, k)[1].parent == parent
+            assert _both_routes(greedy_partition_set, loaded, k)[1].parent == parent
 
             parent, trace = _naive_intervals(items, by_total, k, single_chain=True)
             subset, forest, got = greedy_max_heapable_subset(items, k)
             assert subset == tuple(sorted(parent))
             assert forest.parent == parent and _typed(got) == _typed(trace)
             assert greedy_max_heapable_subset(ranked, k)[1].parent == parent
+            assert _both_routes(greedy_max_heapable_subset, loaded, k)[1].parent == parent
 
-    def test_sweep(self):
+    def test_sweep(self, tmp_path):
         rng = random.Random(62)
         for _ in range(300):
             draw = self._draws(rng)
@@ -698,9 +747,17 @@ class TestExactKeys:
                 x1, x2 = sorted((draw(), draw()))
                 y1, y2 = sorted((draw(), draw()))
                 boxes.append(Box((x1, y1), (x2, y2)))
+            rows = [(*box.lower, *box.upper) for box in boxes]
+            loaded = _loaded(rng, tmp_path / "bx.csv", rows, formats.load_boxes_csv)
+            assert loaded == boxes
             points = [box.lower for box in boxes if box.lower == box.upper]
             if len(set(points)) < len(points):
-                continue  # a repeated point raises CycleError
+                for route in (loaded, list(loaded)):  # a repeated point raises CycleError
+                    with pytest.raises(CycleError):
+                        sweep_partition(route, k)
+                    with pytest.raises(CycleError):
+                        poset_from_box_set(route)
+                continue
             xs = _dense_ranks([b.lower[0] for b in boxes] + [b.upper[0] for b in boxes])
             ys = _dense_ranks([b.lower[1] for b in boxes] + [b.upper[1] for b in boxes])
             ranked = [Box((xs[i], ys[i]), (xs[n + i], ys[n + i])) for i in range(n)]
@@ -709,6 +766,8 @@ class TestExactKeys:
             assert count == list(parent.values()).count(None)
             assert forest.parent == parent
             assert sweep_partition(ranked, k)[1].parent == parent
+            assert _both_routes(sweep_partition, loaded, k)[1].parent == parent
+            _both_routes(poset_from_box_set, loaded)
 
 
 class TestLazyTrace:
@@ -762,6 +821,66 @@ class TestLazyTrace:
             TraceStep(2, REJECTED),
             TraceStep(1, NEW_CHAIN),
         )
+
+
+class TestLoadedItems:
+    """The CSV loaders return a read-only sequence of key columns that builds
+    each Interval or Box when it is read, and that the solvers never read."""
+
+    def test_behaves_as_the_list_of_its_items(self, tmp_path):
+        path = tmp_path / "iv.csv"
+        path.write_text("0.5,1\n-2,7/3\n1_000,1e4\n0.25,0.250\n")
+        loaded = formats.load_intervals_csv(path)
+        items = [Interval(Fraction(1, 2), 1), Interval(-2, Fraction(7, 3)),
+                 Interval(1000, 10000), Interval(Fraction(1, 4), Fraction(1, 4))]
+        assert isinstance(loaded, collections.abc.Sequence) and not isinstance(loaded, list)
+        assert loaded == items and items == loaded and loaded != items[:-1]
+        assert loaded != tuple(items)
+        assert [type(v) for v in (loaded[0].left, loaded[0].right, loaded[2].right)] == [
+            Fraction, int, int]
+        assert len(loaded) == len(items)
+        assert [loaded[i] for i in range(-len(items), len(items))] == items + items
+        for part in (slice(1, 3), slice(None, None, -1), slice(0, -1, 2), slice(3, 1)):
+            assert type(loaded[part]) is type(loaded) and loaded[part] == items[part]
+        assert list(reversed(loaded)) == items[::-1]
+        assert loaded.index(items[2]) == 2 and items[3] in loaded
+        with pytest.raises(IndexError):
+            loaded[len(items)]
+        with pytest.raises(TypeError):
+            loaded[0] = items[1]
+        with pytest.raises(TypeError):
+            hash(loaded)
+        empty = tmp_path / "empty.csv"
+        empty.write_text("\n")
+        assert formats.load_intervals_csv(empty) == [] and formats.load_boxes_csv(empty) == []
+
+    def test_solving_a_loaded_file_builds_no_items(self, tmp_path, monkeypatch):
+        iv_path, bx_path = tmp_path / "iv.csv", tmp_path / "bx.csv"
+        iv_path.write_text("".join(f"{a},{b}\n" for a, b in [
+            ("0.1", "0.5"), ("0.5", "7/3"), ("1/3", "3"), ("2.75", "4"), ("-1", "0.1")]))
+        bx_path.write_text("0,0,1,1\n1.5,1,2,2\n0,2,1/2,3\n")
+        built = []
+        for kind in (Interval, Box):
+            check = kind.__post_init__
+            monkeypatch.setattr(kind, "__post_init__",
+                                lambda self, check=check: built.append(self) or check(self))
+
+        intervals = formats.load_intervals_csv(iv_path)
+        boxes = formats.load_boxes_csv(bx_path)
+        traces = [solve(intervals, 1)[2] for solve in (
+            greedy_partition_sequence, greedy_partition_set, greedy_max_heapable_subset)]
+        poset_from_interval_sequence(intervals)
+        poset_from_interval_set(intervals)
+        sweep_partition(boxes, 1)
+        poset_from_box_set(boxes)
+        assert len(intervals) == 5 and len(boxes) == 3
+        assert built == []
+
+        # Reading a step that names a parent builds that parent, for its slot.
+        steps = [tuple(trace) for trace in traces]
+        assert built and all(type(item) is Interval for item in built)
+        assert steps == [tuple(solve(list(intervals), 1)[2]) for solve in (
+            greedy_partition_sequence, greedy_partition_set, greedy_max_heapable_subset)]
 
 
 def _open(pool, owner, lives):
