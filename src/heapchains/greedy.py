@@ -13,31 +13,30 @@ is the relation best-fit insertion preserves.
 Slot multisets are plain iterables of exact numeric values; signatures are
 sorted tuples.
 
-The partition algorithms take all endpoints as exact, order-isomorphic
-int keys (``poset._key_columns``) and hold them in one numpy array,
-``_key_array``.  One counted slot pool, ``_SlotPool``, ranks each item's
-bound and slot value from those keys, the only ranking they get: one rank
-per owner with the tie rule built in, and each rank's unused lives; callers
-name items, never ranks.  Best fit compares only ints, and its cost does
-not depend on k.  One loop, ``_SlotPool.run``, serves the partitions, the
-max-heapable subset (with ``reject``), the sweep line of
-``heapchains.sweep`` and the particle process of ``heapchains.simulate``.
-Every trace comes from ``best_fit_trace``, which reports slots by original
-coordinate.  A trace is a read-only sequence that builds each step when it
-is read, so a caller who never reads it pays only for a copy of the order
-and of each item's parent, and never reads an item.
+Every partition is one sweep over boxes ordered by dominance, ``_sweep``:
+each family is a box embedding of its exact int keys, made in
+``heapchains.poset``, and the sweep orders all events with one
+``np.lexsort``.  One counted slot pool, ``_SlotPool``, ranks the boxes'
+bounds (lower y) and slot values (upper y) from those keys, the only
+ranking they get: one rank per owner with the tie rule built in, and each
+rank's unused lives; callers name items, never ranks.  Best fit compares
+only ints, and its cost does not depend on k.  Its one loop,
+``_SlotPool.run``, serves the sweep (max-heapable adds ``reject``) and the
+particle process of ``heapchains.simulate``, which takes its float draws in
+``_set_order``.  A trace is a read-only sequence that reports slots by
+original coordinate and builds each step when it is read; an interval trace
+reads a loaded file's slots from its key column and builds no item.
 """
 
 from __future__ import annotations
 
-import collections.abc
 from bisect import bisect_right, insort
 from dataclasses import dataclass
 from itertools import repeat
 from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence
 
-from .poset import Coord, HeapForest, Interval, _check_arity, _check_permutation, _key_columns
-from .poset import _check_distinct_points
+from .poset import Coord, HeapForest, Interval, _check_arity, _exact_value, _interval_boxes
+from .poset import _KeyedItems, _LazySequence, _permutation_points
 
 if TYPE_CHECKING:
     import numpy as np
@@ -108,17 +107,6 @@ def insert_interval(
     for _ in range(k):
         insort(values, item.right)
     return tuple(values), consumed
-
-
-def _key_array(keys: Sequence[int]) -> np.ndarray:
-    """Exact int keys as one array: int64 when every key fits, else object.
-    ``np.asarray`` would guess float64 for ``[3, 2**63 + 1]`` and round."""
-    import numpy as np
-
-    try:
-        return np.array(keys, dtype=np.int64)
-    except OverflowError:
-        return np.array(keys, dtype=object)
 
 
 def _set_order(lefts, rights) -> np.ndarray:
@@ -217,45 +205,67 @@ class _SlotPool:
         return [owners[rank] for rank, lives in enumerate(self._lives) for _ in range(lives)]
 
 
-class _Trace(collections.abc.Sequence):
-    """Read-only sequence of TraceSteps: item ``order[j]`` took a slot of
-    ``owners[j]`` (None for a new chain, -1 if rejected), valued at
-    ``slot_of(owner)``.  Each step is built when it is read.  It equals, and
-    hashes as, the tuple of its steps."""
+_OPEN, _BOTH, _TAKE = 0, 1, 2  # event phases, in their order at one x
 
-    __slots__ = ("_order", "_owners", "_slot_of")
+
+def _sweep(lo_x, lo_y, hi_x, hi_y, k: int, reject: bool = False) -> tuple[int, HeapForest, list]:
+    """The one dominance sweep over boxes i from (lo_x[i], lo_y[i]) to
+    (hi_x[i], hi_y[i]), given as key arrays with one dtype per axis.  A box
+    takes at its lower x the best open slot at or below its lower y, or
+    starts a chain, and opens k slots valued at its upper y at its upper x:
+    only a box wholly to its left may be its parent.  A zero-width box does
+    both in one event.  At one x, opens run first, then zero-width boxes by
+    upper y, lower y and id (for an interval set, ``_set_order``), then takes
+    by upper x and id.  With ``reject``, a box that finds no slot once a
+    chain has started takes nothing and, if zero-width, opens nothing.
+    Returns the chain-start count, the forest of the boxes that took, and
+    the box ids in the order they took.
+    """
+    import numpy as np
+
+    n = len(lo_x)
+    ids = np.arange(n)
+    flat = lo_x == hi_x
+    wide = np.flatnonzero(~flat)
+    opens = hi_x[wide]
+    # Pool steps: i takes and opens, n + i only takes, ~i only opens.
+    steps = np.concatenate((np.where(flat, ids, n + ids), ~wide))
+    # The sort is stable, so equal keys keep id order.  A take's second tie
+    # key is its lower x, the same for all its group.
+    events = steps[np.lexsort((
+        np.concatenate((np.where(flat, lo_y, lo_x), opens)),
+        np.concatenate((np.where(flat, hi_y, hi_x), opens)),
+        np.concatenate((np.where(flat, _BOTH, _TAKE), np.full(len(wide), _OPEN))),
+        np.concatenate((lo_x, opens)),
+    ))]
+    count, parent = _SlotPool(lo_y, hi_y).run(events.tolist(), k, reject)
+    takes = events[events >= 0]
+    order = np.where(takes >= n, takes - n, takes).tolist()
+    return count, HeapForest(k, {i: parent[i] for i in order if parent[i] != -1}), order
+
+
+class _Trace(_LazySequence):
+    """Lazy TraceSteps: item ``order[j]`` took a slot of ``owners[j]`` (None
+    for a new chain, -1 if rejected), valued at ``slot_of(owner)``.  It
+    equals, and hashes as, the tuple of its steps."""
+
+    __slots__ = ("_slot_of",)
 
     def __init__(self, order: tuple, owners: list, slot_of: Callable[[int], Coord]):
-        self._order, self._owners, self._slot_of = order, owners, slot_of
+        self._columns, self._slot_of = (order, owners), slot_of
 
-    def _step(self, item: int, owner: Optional[int]) -> TraceStep:
+    def _sliced(self, columns: list) -> _Trace:
+        return _Trace(*columns, self._slot_of)
+
+    def _entry(self, item: int, owner: Optional[int]) -> TraceStep:
         if owner is None:
             return TraceStep(item, NEW_CHAIN)
         if owner == -1:
             return TraceStep(item, REJECTED)
         return TraceStep(item, ATTACHED, parent=owner, slot=self._slot_of(owner))
 
-    def __len__(self) -> int:
-        return len(self._order)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return _Trace(self._order[index], self._owners[index], self._slot_of)
-        return self._step(self._order[index], self._owners[index])
-
-    def __iter__(self):
-        return map(self._step, self._order, self._owners)
-
-    def __eq__(self, other):
-        if isinstance(other, (tuple, _Trace)):
-            return tuple(self) == tuple(other)
-        return NotImplemented
-
     def __hash__(self):
         return hash(tuple(self))
-
-    def __repr__(self):
-        return f"_Trace({tuple(self)!r})"
 
 
 def best_fit_trace(forest: HeapForest, order: Iterable, slots: Sequence) -> Sequence[TraceStep]:
@@ -276,37 +286,22 @@ def _trace(forest: HeapForest, order: Iterable, slot_of: Callable[[int], Coord])
     return _Trace(order, list(map(forest.parent.get, order, repeat(-1))), slot_of)
 
 
-def _ranked_intervals(items: Sequence[Interval], set_order: bool) -> tuple:
-    """The order items are taken in (a set's items must not repeat a point)
-    and the slot pool of their endpoints' exact keys, which ranks them."""
-    (lefts,), (rights,) = _key_columns(items, Interval)
-    n = len(lefts)
-    ends = _key_array(lefts + rights)
-    order = range(n)
-    if set_order:
-        _check_distinct_points((lefts,), (rights,))
-        order = _set_order(ends[:n], ends[n:]).tolist()
-    return order, _SlotPool(ends[:n], ends[n:])
-
-
-def _interval_best_fit(
-    items: Sequence[Interval], k: int, set_order: bool, reject: bool = False
-) -> tuple:
-    """Best fit over the items in sequence or set order: the chain-start
-    count, the forest of the items that took, and the trace, which reads an
-    item (for its right endpoint) only when a step that names it is read."""
+def _interval_chains(items: Sequence[Interval], k: int, as_set: bool, reject: bool = False):
+    """Count, forest and trace of the sweep over the items' boxes.  A loaded
+    file's slots are read from its right-key column, building no item."""
     k = _check_arity(k)
-    order, pool = _ranked_intervals(items, set_order)
-    count, taken = pool.run(order, k, reject)
-    forest = HeapForest(k, {i: taken[i] for i in order if taken[i] != -1})
-    return count, forest, _trace(forest, order, lambda owner: items[owner].right)
+    count, forest, order = _sweep(*_interval_boxes(items, as_set), k, reject)
+    if isinstance(items, _KeyedItems):
+        rights, scale = items._columns[1], items._scale
+        return count, forest, _trace(forest, order, lambda i: _exact_value(rights[i], scale))
+    return count, forest, _trace(forest, order, lambda i: items[i].right)
 
 
 def greedy_partition_sequence(
     items: Sequence[Interval], k: int
 ) -> tuple[int, HeapForest, Sequence[TraceStep]]:
     """Minimum partition of an interval sequence into k-ary chains (best fit)."""
-    return _interval_best_fit(items, k, set_order=False)
+    return _interval_chains(items, k, as_set=False)
 
 
 def greedy_partition_set(
@@ -314,7 +309,7 @@ def greedy_partition_set(
 ) -> tuple[int, HeapForest, Sequence[TraceStep]]:
     """Minimum partition of an interval set: sort by the total order, then best fit.
     Two equal point intervals dominate each other and raise CycleError."""
-    return _interval_best_fit(items, k, set_order=True)
+    return _interval_chains(items, k, as_set=True)
 
 
 def greedy_partition_permutation(perm: Sequence[int], k: int) -> tuple[int, HeapForest]:
@@ -324,13 +319,8 @@ def greedy_partition_permutation(perm: Sequence[int], k: int) -> tuple[int, Heap
     smaller earlier value.  ``best_fit_trace(forest, perm, range(len(perm)))``
     gives the decisions.
     """
-    import numpy as np
-
     k = _check_arity(k)
-    seq = _check_permutation(perm)
-    # Value v is its own item id and slot value, and takes below v.
-    count, parent = _SlotPool(np.arange(-1, len(seq) - 1), np.arange(len(seq))).run(seq, k)
-    return count, HeapForest(k, {value: parent[value] for value in seq})
+    return _sweep(*_permutation_points(perm), k)[:2]
 
 
 def greedy_max_heapable_subset(
@@ -342,7 +332,7 @@ def greedy_max_heapable_subset(
     items either attach best-fit or are rejected outright (rejected items
     never open slots).  Two equal point intervals raise CycleError.
     """
-    _, forest, trace = _interval_best_fit(items, k, set_order=True, reject=True)
+    _, forest, trace = _interval_chains(items, k, as_set=True, reject=True)
     return tuple(sorted(forest.parent)), forest, trace
 
 

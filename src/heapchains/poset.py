@@ -11,12 +11,15 @@ step that scales exact ratios p/q to a common denominator (``_scale``).
 Items built in memory reach it through ``_exact_keys``.  A CSV file is
 loaded as a ``_KeyedItems``: key columns on the file's one scale, whose
 ``Interval`` or ``Box`` objects are built only when read.  ``_key_columns``
-hands either route's keys to the solvers.  Building a poset from intervals,
-boxes or a permutation numbers those keys 0, 1, ... (``_dense_ranks``), so
-they fit the int64 blocks in which the dominance kernel compares them:
-O(n^2) work, 8-15 ms at n = 2,100 on one Xeon core, plus about 20 us per
-call.  The greedy variants and the sweep hand the keys to their slot pool
-unranked.  A poset read from relations never touches numpy.
+hands either route's keys on.  Every geometric family is a box set:
+``_box_arrays`` turns box key columns into four key arrays, and
+``_interval_boxes`` and ``_permutation_points`` embed the other families
+(see ``heapchains.greedy``).  The one sweep and the one dominance builder,
+``_box_poset``, take those arrays.  The builder numbers each axis's keys
+0, 1, ... (``_dense_ranks``) to fit the int64 blocks in which its kernel
+compares them: O(n^2) work, 8-15 ms at n = 2,100 on one Xeon core, plus
+about 20 us per call.  The sweep hands them to its pool unranked.  A poset
+read from relations never touches numpy.
 """
 
 from __future__ import annotations
@@ -293,41 +296,51 @@ def _row_item(kind: type, values: Sequence[Coord]):
     return Box(tuple(values[:2]), tuple(values[2:]))
 
 
-class _KeyedItems(collections.abc.Sequence):
-    """Read-only sequence of intervals or boxes (``kind``) held as columns of
-    exact int keys on one scale, in CSV field order: coordinate c of item i
-    is ``columns[c][i] / scale``.  Each item is built when it is read, with
-    an int coordinate where the value is integral and a Fraction elsewhere.
-    It equals a list of equal items and, like a list, is unhashable."""
+class _LazySequence(collections.abc.Sequence):
+    """Read-only sequence over parallel columns whose entry i, built when it
+    is read, is ``_entry(*(column[i] for column in _columns))``.  It equals,
+    as a ``_like`` (tuple or list), any ``_like`` and any of its own kind."""
 
-    __slots__ = ("_kind", "_columns", "_scale")
-
-    def __init__(self, kind: type, columns: Sequence[list[int]], scale: int):
-        self._kind, self._columns, self._scale = kind, tuple(columns), scale
-
-    def _item(self, *keys: int):
-        return _row_item(self._kind, [_exact_value(key, self._scale) for key in keys])
+    __slots__ = ("_columns",)
+    _like: type = tuple
 
     def __len__(self) -> int:
         return len(self._columns[0])
 
     def __getitem__(self, index):
         if isinstance(index, slice):
-            return _KeyedItems(self._kind, [column[index] for column in self._columns], self._scale)
-        return self._item(*[column[index] for column in self._columns])
+            return self._sliced([column[index] for column in self._columns])
+        return self._entry(*[column[index] for column in self._columns])
 
     def __iter__(self):
-        return map(self._item, *self._columns)
+        return map(self._entry, *self._columns)
 
     def __eq__(self, other):
-        if isinstance(other, (list, _KeyedItems)):
-            return list(self) == list(other)
+        if isinstance(other, (self._like, type(self))):
+            return self._like(self) == self._like(other)
         return NotImplemented
 
-    __hash__ = None
-
     def __repr__(self):
-        return f"_KeyedItems({list(self)!r})"
+        return f"{type(self).__name__}({self._like(self)!r})"
+
+
+class _KeyedItems(_LazySequence):
+    """Lazy intervals or boxes (``kind``) held as columns of exact int keys
+    on one scale, in CSV field order: coordinate c of item i is
+    ``columns[c][i] / scale``, an int where it is integral, else a Fraction.
+    It equals a list of equal items and, like a list, is unhashable."""
+
+    __slots__ = ("_kind", "_scale")
+    _like = list
+
+    def __init__(self, kind: type, columns: Sequence[list[int]], scale: int):
+        self._kind, self._columns, self._scale = kind, tuple(columns), scale
+
+    def _sliced(self, columns: list) -> _KeyedItems:
+        return _KeyedItems(self._kind, columns, self._scale)
+
+    def _entry(self, *keys: int):
+        return _row_item(self._kind, [_exact_value(key, self._scale) for key in keys])
 
 
 def _key_columns(items: Sequence, kind: type) -> tuple[tuple[list[int], ...], ...]:
@@ -356,13 +369,6 @@ def _dense_ranks(values: Sequence[Coord]) -> list[int]:
     keys = _exact_keys(values)
     rank = {key: r for r, key in enumerate(sorted(set(keys)))}
     return [rank[key] for key in keys]
-
-
-def _interval_ranks(items: Sequence[Interval]) -> tuple[list[int], list[int]]:
-    """Left and right endpoint ranks, ranked together."""
-    (lefts,), (rights,) = _key_columns(items, Interval)
-    ranks = _dense_ranks(lefts + rights)
-    return ranks[: len(lefts)], ranks[len(lefts) :]
 
 
 def _check_permutation(perm: Iterable[int]) -> list[int]:
@@ -396,22 +402,58 @@ def _check_distinct_points(low: tuple[Sequence, ...], high: tuple[Sequence, ...]
             raise CycleError(f"items {first[lo]} and {i} are one point and dominate each other")
 
 
-def _dominance_poset(low: tuple[Sequence[int], ...], high: tuple[Sequence[int], ...]) -> Poset:
-    """less(i, j) iff i != j and high[c][i] <= low[c][j] in every column c.
-
-    Columns are int ranks with low <= high per item; a repeated point raises CycleError.
-    """
+def _key_array(keys: Sequence[int]):
+    """Exact int keys as one numpy array: int64 when every key fits, else
+    object.  ``np.asarray`` would guess float64 for ``[3, 2**63 + 1]`` and round."""
     import numpy as np
 
+    try:
+        return np.array(keys, dtype=np.int64)
+    except OverflowError:
+        return np.array(keys, dtype=object)
+
+
+def _box_arrays(low: tuple[Sequence[int], ...], high: tuple[Sequence[int], ...], repeats: bool):
+    """Box key columns, shaped as ``_key_columns`` gives them, as four key arrays
+    (lo_x, lo_y, hi_x, hi_y).  If points can ``repeat``, checks they do not."""
+    if repeats:
+        _check_distinct_points(low, high)
     n = len(low[0])
-    _check_distinct_points(low, high)
-    lows, highs = np.asarray(low, dtype=np.int64), np.asarray(high, dtype=np.int64)
+    xs, ys = (_key_array([*lo, *hi]) for lo, hi in zip(low, high))
+    return xs[:n], ys[:n], xs[n:], ys[n:]
+
+
+def _interval_boxes(items: Sequence[Interval], as_set: bool) -> tuple:
+    """Intervals as box key arrays: item i of a sequence is (i, left)-(i, right),
+    an item of a set the zero-width (right, left)-(right, right)."""
+    (lefts,), (rights,) = _key_columns(items, Interval)
+    xs = rights if as_set else range(len(lefts))
+    return _box_arrays((xs, lefts), (xs, rights), repeats=as_set)
+
+
+def _permutation_points(perm: Iterable[int]) -> tuple:
+    """A permutation as box key arrays: value v at position p is the point
+    (p, v), box v.  No two points share an x, so none repeats."""
+    import numpy as np
+
+    seq = _check_permutation(perm)
+    positions, values = np.argsort(np.array(seq, dtype=np.int64)), np.arange(len(seq))
+    return positions, values, positions, values
+
+
+def _box_poset(lo_x, lo_y, hi_x, hi_y) -> Poset:
+    """The one dominance builder, on box key arrays: less(i, j) iff i != j and
+    upper(i) <= lower(j) componentwise.  The caller checks for repeated points."""
+    import numpy as np
+
+    n = len(lo_x)
+    axes = [_dense_ranks(np.concatenate(axis).tolist()) for axis in ((lo_x, hi_x), (lo_y, hi_y))]
+    lows, highs = np.array(axes, dtype=np.int64).reshape(2, 2, n).swapaxes(0, 1)
     masks: list[int] = []
     for start in range(0, n, _BLOCK_ROWS):
         rows = np.arange(start, min(start + _BLOCK_ROWS, n))
         less = highs[0, rows, None] <= lows[0]
-        for lo, hi in zip(lows[1:], highs[1:]):
-            less &= hi[rows, None] <= lo
+        less &= highs[1, rows, None] <= lows[1]
         less[rows - start, rows] = False
         packed = np.packbits(less, axis=1, bitorder="little")
         masks.extend(int.from_bytes(row.tobytes(), "little") for row in packed)
@@ -420,31 +462,22 @@ def _dominance_poset(low: tuple[Sequence[int], ...], high: tuple[Sequence[int], 
 
 def poset_from_permutation(perm: Iterable[int]) -> Poset:
     """Permutation order: less(a, b) iff a < b and a appears before b."""
-    seq = _check_permutation(perm)
-    position = [0] * len(seq)
-    for idx, value in enumerate(seq):
-        position[value] = idx
-    return _dominance_poset((position, range(len(seq))), (position, range(len(seq))))
+    return _box_poset(*_permutation_points(perm))
 
 
 def poset_from_interval_set(items: Sequence[Interval]) -> Poset:
     """Interval dominance: less(i, j) iff items[i].right <= items[j].left."""
-    lefts, rights = _interval_ranks(items)
-    return _dominance_poset((lefts,), (rights,))
+    return _box_poset(*_interval_boxes(items, as_set=True))
 
 
 def poset_from_interval_sequence(items: Sequence[Interval]) -> Poset:
     """Sequence order: less(i, j) iff i < j and items[i].right <= items[j].left."""
-    lefts, rights = _interval_ranks(items)
-    return _dominance_poset((range(len(items)), lefts), (range(len(items)), rights))
+    return _box_poset(*_interval_boxes(items, as_set=False))
 
 
 def poset_from_box_set(items: Sequence[Box]) -> Poset:
     """Box dominance: componentwise upper(i) <= lower(j)."""
-    (lo_xs, lo_ys), (hi_xs, hi_ys) = _key_columns(items, Box)
-    n = len(lo_xs)
-    xs, ys = _dense_ranks(lo_xs + hi_xs), _dense_ranks(lo_ys + hi_ys)
-    return _dominance_poset((xs[:n], ys[:n]), (xs[n:], ys[n:]))
+    return _box_poset(*_box_arrays(*_key_columns(items, Box), repeats=True))
 
 
 @dataclass(frozen=True)

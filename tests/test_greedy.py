@@ -40,7 +40,7 @@ from heapchains import (
     sweep_partition,
     verify_forest,
 )
-from heapchains.greedy import _SlotPool
+from heapchains.greedy import _set_order, _SlotPool, _sweep
 from heapchains.poset import _dense_ranks, _exact_keys
 
 from conftest import (
@@ -876,10 +876,10 @@ class TestLoadedItems:
         assert len(intervals) == 5 and len(boxes) == 3
         assert built == []
 
-        # Reading a step that names a parent builds that parent, for its slot.
-        steps = [tuple(trace) for trace in traces]
-        assert built and all(type(item) is Interval for item in built)
-        assert steps == [tuple(solve(list(intervals), 1)[2]) for solve in (
+        # Reading every step reads each slot from the right-key column.
+        steps = [_typed(trace) for trace in traces]
+        assert built == [] and any(step.kind == ATTACHED for trace in traces for step in trace)
+        assert steps == [_typed(solve(list(intervals), 1)[2]) for solve in (
             greedy_partition_sequence, greedy_partition_set, greedy_max_heapable_subset)]
 
 
@@ -928,6 +928,27 @@ class TestPoolCallers:
             assert forest.parent == parent and count == list(parent.values()).count(None)
             flat += sum(box.lower[0] == box.upper[0] for box in boxes)
         assert rejected > 500 and flat > 500
+
+
+class TestSetOrder:
+    """The interval-set order has two writers: ``_set_order``, which the
+    particle process takes its draws in, and the sweep's zero-width tie keys."""
+
+    def test_sweep_takes_in_set_order_on_tied_floats(self):
+        rng = random.Random(58)
+        tied = 0
+        for _ in range(300):
+            n, k = rng.randint(0, 40), rng.randint(1, 3)
+            pairs = [sorted((rng.randint(0, 6) / 3, rng.randint(0, 6) / 3)) for _ in range(n)]
+            lefts = np.array([left for left, _ in pairs], dtype=float)
+            rights = np.array([right for _, right in pairs], dtype=float)
+            order = _set_order(lefts, rights).tolist()
+            count, forest, taken = _sweep(rights, lefts, rights, rights, k)
+            assert taken == order
+            assert (count, [forest.parent[i] for i in range(n)]) == _SlotPool(
+                lefts, rights).run(order, k)
+            tied += len(set(map(tuple, pairs))) < n
+        assert tied > 250
 
 
 class TestSlotPool:

@@ -13,6 +13,7 @@ from heapchains import (
     sweep_partition,
     verify_forest,
 )
+from heapchains.poset import _box_arrays, _key_columns
 
 from conftest import random_boxes_distinct
 
@@ -111,6 +112,33 @@ class TestSweepProperties:
             assert verify_forest(poset, forest, k)
             checked += 1
         assert checked > 1400
+
+    def test_keys_past_int64_match_flow(self):
+        # Keys past int64 make the sweep's event keys object arrays; a coarse
+        # grid of them ties x values and makes zero-width boxes common.
+        rng = random.Random(57)
+        grid = (-(2**64), -1, 2**63, 2**63 + 1, 2**80)
+        checked = huge = flat = 0
+        for _ in range(300):
+            boxes = []
+            for _ in range(rng.randint(1, 9)):
+                x1, x2 = sorted((rng.choice(grid), rng.choice(grid)))
+                y1, y2 = sorted((rng.choice(grid), rng.choice(grid)))
+                boxes.append(Box((x1, y1), (x2, y2)))
+            k = rng.randint(1, 3)
+            try:
+                poset = poset_from_box_set(boxes)
+            except CycleError:
+                with pytest.raises(CycleError):
+                    sweep_partition(boxes, k)
+                continue
+            count, forest = sweep_partition(boxes, k)
+            assert count == k_width(poset, k)[0] == len(forest.roots)
+            assert verify_forest(poset, forest, k)
+            checked += 1
+            huge += _box_arrays(*_key_columns(boxes, Box), repeats=True)[0].dtype == object
+            flat += sum(box.lower[0] == box.upper[0] for box in boxes)
+        assert checked > 200 and huge > 150 and flat > 250
 
     def test_zero_width_at_one_x_is_an_interval_set(self):
         rng = random.Random(56)
