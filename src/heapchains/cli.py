@@ -119,7 +119,8 @@ def _cmd_max_heapable(args) -> int:
 def _cmd_permutation(args) -> int:
     perm = formats.load_permutation(args.input)
     count, forest = greedy_partition_permutation(perm, args.k)
-    return _emit(count, forest, best_fit_trace(forest, perm, range(len(perm))), args=args)
+    trace = best_fit_trace(forest, perm, range(len(perm))) if args.trace else None
+    return _emit(count, forest, trace, args=args)
 
 
 def _cmd_simulate(args) -> int:

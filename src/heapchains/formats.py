@@ -16,21 +16,44 @@ value and error message are the ones that constructor gives.  ``parse_exact``
 returns the ratio's value: an int when it is integral, else a Fraction.
 
 The interval and box CSV loaders build no ``Fraction``, ``Interval`` or
-``Box`` per row.  Each row's ratios are checked as the row is read (field
-count, numbers, then order, by cross-multiplying), so the first bad line is
-the one an error names, with the message the item's constructor gives.  At
-the end the file's ratios are scaled to one common denominator
-(``poset._scale``, the step ``_exact_keys`` uses too), and the loader returns
-the int key columns as a lazy read-only sequence, ``poset._KeyedItems``: it
-builds an item only when one is read, and the solvers read its columns.
+``Box`` per row; they return the int key columns of the file's values on
+one scale as a lazy read-only sequence, ``poset._KeyedItems``, which builds
+an item only when one is read (the solvers read its columns).  A file is
+read by one of two routes, with the same result:
+
+* the bulk route, ``_bulk_columns``, splits every non-blank line on ``,``
+  at once and checks the field count with one ``any``.  If ``int()`` reads
+  every cell, the keys are those ints at scale 1.  Otherwise, if every
+  stripped cell is a plain ASCII number, ``[-+]?[0-9]*\\.?[0-9]+``, no
+  longer than the integer digit limit, each key is its digits with the
+  fraction padded to the file's longest, d, at scale ``10**d``: every
+  denominator is a power of ten, so these are the keys ``poset._scale``
+  gives.  A file whose padding would add more digits than the file has
+  characters (one long fraction among many short ones) is refused, since
+  ``int()`` is quadratic in a key's length.  Order is then checked column
+  by column;
+* the per-row route, ``_checked_columns``, runs when the bulk route refuses
+  the file (any ``ValueError``: a field count, a number, an order or a digit
+  limit).  It reads each row's ratios with ``_ratio`` and checks them as the
+  row is read (field count, numbers, then order, by cross-multiplying), so
+  the first bad line is the one an error names, with the message the
+  item's constructor gives, as before the bulk route existed.  At the end
+  the ratios go through ``poset._scale``.  ``p/q``, exponents, ``_`` beside
+  a point and decimals in non-ASCII digits are read by this route alone.
+
+The permutation loader reads every line with ``int()`` at once, and runs
+the line-by-line loop, which names the first bad line, only when that
+fails.
 """
 
 from __future__ import annotations
 
 import json
+import operator
 import re
 import sys
 from fractions import Fraction
+from itertools import chain
 from typing import Sequence
 
 from .poset import (
@@ -51,6 +74,7 @@ from .poset import (
 )
 
 _EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)  # Fraction's exponent
+_PLAIN = re.compile(r"[-+]?[0-9]*\.?[0-9]+")  # a plain ASCII number, for _bulk_columns
 
 
 class InputFormatError(ValueError):
@@ -110,13 +134,13 @@ def _read_text(path) -> str:
         raise InputFormatError(f"{path}: not UTF-8: {exc}") from exc
 
 
-def _lines(path) -> list[tuple[int, str]]:
-    """(line number, stripped line) for each non-blank line."""
+def _lines(text: str) -> list[tuple[int, str]]:
+    """(line number, stripped line) for each non-blank line of a file's text."""
     # Text mode turned \r\n and \r into \n; splitlines() would also split on
     # \f, \v and others, and line numbers would drift from an editor's.
     return [
         (lineno, line)
-        for lineno, raw in enumerate(_read_text(path).split("\n"), start=1)
+        for lineno, raw in enumerate(text.split("\n"), start=1)
         if (line := raw.strip())
     ]
 
@@ -130,14 +154,48 @@ def _json(path):
         raise InputFormatError(f"{path}: invalid JSON: nested too deeply") from exc
 
 
-def _rows(path, kind: type, fields: int) -> Sequence:
-    """The ``kind`` items of each line's ``fields`` comma-separated exact
-    numbers, as key columns on the file's one scale (see the module
-    docstring).  A row's field count, numbers and order are all checked
-    before the next row is read, so the first bad line is the one named."""
-    limit, half = _digit_limit(), fields // 2
+def _bulk_columns(text: str, fields: int, limit: int) -> tuple[list[list[int]], int]:
+    """The key columns and scale of a CSV text's ``fields``-field rows, read
+    in one pass by the bulk route of the module docstring.  Raises
+    ValueError, naming no line, for any file it does not read; the
+    per-row route then judges that file."""
+    rows = [line.split(",") for line in text.split("\n") if line.strip()]
+    if any(len(row) != fields for row in rows):
+        raise ValueError("field count")
+    try:
+        keys, scale = list(map(int, chain.from_iterable(rows))), 1
+        del rows
+    except ValueError:
+        cells = [*map(str.strip, chain.from_iterable(rows))]
+        del rows
+        if not all(map(_PLAIN.fullmatch, cells)) or (limit and max(map(len, cells)) > limit):
+            raise
+        parts = [cell.partition(".") for cell in cells]
+        del cells
+        digits = max([len(frac) for _, _, frac in parts])
+        if digits * len(parts) > len(text):  # padding would outgrow the file; see the docstring
+            raise
+        # int() still raises past the digit limit, where padding made a key too long.
+        keys = [int(whole + frac.ljust(digits, "0")) for whole, _, frac in parts]
+        del parts
+        scale = 10**digits
+    columns = [keys[c::fields] for c in range(fields)]
+    del keys
+    if any(any(map(operator.gt, low, high)) for low, high in zip(columns, columns[fields // 2:])):
+        raise ValueError("order")
+    return columns, scale
+
+
+def _checked_columns(
+    path, text: str, kind: type, fields: int, limit: int
+) -> tuple[list[list[int]], int]:
+    """The key columns and scale of ``path``'s CSV ``text``, read row by row
+    (see the module docstring).  A row's field count, numbers and order are
+    all checked before the next row is read, so the first bad line is the
+    one named."""
+    half = fields // 2
     ratios: list[tuple[int, int]] = []
-    for lineno, line in _lines(path):
+    for lineno, line in _lines(text):
         row = line.split(",")
         if len(row) != fields:
             raise InputFormatError(f"{path}:{lineno}: expected {fields} fields, got {len(row)}")
@@ -151,7 +209,19 @@ def _rows(path, kind: type, fields: int) -> Sequence:
             raise InputFormatError(f"{path}:{lineno}: {exc}") from exc
         ratios += row
     keys, scale = _scale(ratios)
-    return _KeyedItems(kind, [keys[c::fields] for c in range(fields)], scale)
+    return [keys[c::fields] for c in range(fields)], scale
+
+
+def _rows(path, kind: type, fields: int) -> Sequence:
+    """The ``kind`` items of each line's ``fields`` comma-separated exact
+    numbers, as key columns on the file's one scale: the bulk route's, or
+    the per-row route's when the bulk route refuses the file."""
+    text, limit = _read_text(path), _digit_limit()
+    try:
+        return _KeyedItems(kind, *_bulk_columns(text, fields, limit))
+    except ValueError:
+        pass  # outside this handler, the traceback frees the bulk route's lists
+    return _KeyedItems(kind, *_checked_columns(path, text, kind, fields, limit))
 
 
 def load_intervals_csv(path) -> Sequence[Interval]:
@@ -166,8 +236,13 @@ def load_boxes_csv(path) -> Sequence[Box]:
 
 def load_permutation(path) -> list[int]:
     """One integer per line, the sequence pi(0), pi(1), ..."""
+    text = _read_text(path)
+    try:
+        return list(map(int, filter(str.strip, text.split("\n"))))
+    except ValueError:
+        pass  # int() keeps some whitespace strip() removes, such as \x1c: not always an error
     values = []
-    for lineno, line in _lines(path):
+    for lineno, line in _lines(text):
         try:
             values.append(int(line))
         except ValueError as exc:

@@ -77,6 +77,66 @@ _exact_texts = st.one_of(
 )
 
 
+# CSV cells for the loader's two routes: plain ASCII ints and decimals (the
+# bulk route's), ints past int64, and every form only the per-row route
+# reads or rejects.
+_plain_cells = st.one_of(
+    st.integers(-(2**70), 2**70).map(str),
+    st.tuples(_signs, _ascii_digits, st.just("."), _ascii_digits.filter(bool)).map("".join),
+)
+_any_cells = st.one_of(
+    _plain_cells,
+    _exact_texts,
+    st.sampled_from([" 5 ", "1_000", "\u0663", "7/3", "5e-1", "5.", "-.5", "+0.250", "\x1c5",
+                     "x", "1/0", "", "1 2"]),
+)
+
+
+def _in_order(row):
+    """``row`` with each axis's low and high cells swapped where they parse
+    out of order."""
+    half = len(row) // 2
+    try:
+        values = [formats.parse_exact(cell) for cell in row]
+    except ValueError:
+        return row
+    for c in range(half):
+        if values[c] > values[c + half]:
+            row[c], row[c + half] = row[c + half], row[c]
+    return row
+
+
+@st.composite
+def _csv_texts(draw, fields):
+    """A CSV file's text: rows of plain or of any cells, mostly in order and
+    with ``fields`` fields, between blank and whitespace-only lines."""
+    cells = draw(st.sampled_from([_plain_cells, _any_cells]))
+    counts = st.integers(fields - 1, fields + 1) if draw(st.booleans()) else st.just(fields)
+    lines = []
+    for _ in range(draw(st.integers(0, 6))):
+        if draw(st.integers(0, 4)) == 0:
+            lines.append(draw(st.sampled_from(["", " ", "\t  "])))
+            continue
+        count = draw(counts)
+        row = draw(st.lists(cells, min_size=count, max_size=count))
+        lines.append(",".join(_in_order(row) if draw(st.integers(0, 5)) else row))
+    return draw(st.sampled_from(["\n", "\r\n"])).join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+_csv_files = st.sampled_from([2, 4]).flatmap(lambda fields: st.tuples(st.just(fields),
+                                                                       _csv_texts(fields)))
+_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 4300)() or 4300  # 4,300 where none
+
+
+def _route(read):
+    """A loader route's (columns, scale), or its error's text."""
+    try:
+        columns, scale = read()
+    except ValueError as exc:
+        return str(exc)
+    return [list(column) for column in columns], scale
+
+
 def _parses(text):
     try:
         formats.parse_exact(text)
@@ -87,6 +147,10 @@ def _parses(text):
 
 def _typed_coords(*values):
     return [(value, type(value)) for value in values]
+
+
+def _coords(item):
+    return [item.left, item.right] if isinstance(item, Interval) else [*item.lower, *item.upper]
 
 
 class TestFormats:
@@ -274,6 +338,58 @@ class TestFormats:
             load(path)
         assert str(info.value) == f"{path}:2: {want.value}"
 
+    @given(_csv_files)
+    @example((2, "1,2\r\n\r\n \t\r\n3,4\r\n"))  # CRLF, blank and whitespace-only lines
+    @example((2, " 5 ,1_000\n-.5,+0.250\n"))
+    @example((4, "\u0663,7/3,5e-1,5.\n"))
+    @example((2, "\x1c5,6\n"))  # int() keeps \x1c, which strip() removes
+    @example((4, "-9223372036854775809,0.5,18446744073709551616,12345678901234567890\n"))
+    @example((2, "1,2.5\n-3.25,4\n"))  # int and decimal rows mixed
+    @example((2, "0,1." + "1" * _LIMIT + "\n"))  # past the plain route's length
+    # Each cell at the digit limit; padding the second's fraction to the first's passes it.
+    @example((2, "0." + "1" * (_LIMIT - 2) + ",123456789012." + "1" * (_LIMIT - 13)))
+    @example((2, "0.5" + "0" * (_LIMIT - 2) + ",0.6" + "0" * (_LIMIT - 2)))  # Fraction's 1/2, 3/5
+    @example((2, "\u0663.5,4\n"))  # a decimal in non-ASCII digits is Fraction's 7/2
+    @example((4, "x,0,1,1\n1,2,3,4,5\n"))  # a bad number, then a bad field count
+    @example((4, "0,0,1,1\n2,0,1,1\n0,0,1/0,1\n"))  # out of order, then unparsable
+    @example((2, "1,2\n9\n"))
+    @example((4, ""))
+    @settings(max_examples=300, deadline=None)
+    def test_bulk_route_matches_per_row_route(self, file):
+        fields, text = file
+        kind, load = (Interval, formats.load_intervals_csv) if fields == 2 else (
+            Box, formats.load_boxes_csv)
+        limit = formats._digit_limit()
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp, "f.csv")
+            path.write_text(text, encoding="utf-8", newline="")
+            read = formats._read_text(path)
+            want = _route(lambda: formats._checked_columns(path, read, kind, fields, limit))
+            bulk = _route(lambda: formats._bulk_columns(read, fields, limit))
+            try:
+                got = load(path)
+            except formats.InputFormatError as exc:
+                got = str(exc)
+        if isinstance(want, str):
+            assert isinstance(bulk, str), "the bulk route read a file the per-row route rejects"
+            assert want.startswith(f"{path}:") and got == want  # the same line, the same text
+            return
+        if not isinstance(bulk, str):
+            assert bulk == want
+        assert ([list(column) for column in got._columns], got._scale) == want
+        expected = formats._KeyedItems(kind, *want)
+        assert list(got) == list(expected)
+        for item, other in zip(got, expected):
+            assert _typed_coords(*_coords(item)) == _typed_coords(*_coords(other))
+
+    def test_bulk_route_refuses_long_padding(self):
+        # One long fraction would pad every short cell to its length.
+        text = "0." + "1" * 1000 + ",1\n" + "1.5,2.5\n" * 100
+        limit = formats._digit_limit()
+        with pytest.raises(ValueError):
+            formats._bulk_columns(text, 2, limit)
+        assert formats._bulk_columns("1.5,2.25\n", 2, limit) == ([[150], [225]], 100)
+
     def test_boxes_roundtrip(self, tmp_path):
         path = tmp_path / "bx.csv"
         path.write_text("0,0,1.5,2\n")
@@ -284,6 +400,22 @@ class TestFormats:
         path = tmp_path / "perm.txt"
         path.write_text("1\n2\n0\n3\n")
         assert formats.load_permutation(path) == [1, 2, 0, 3]
+
+    def test_permutation_file_skips_blank_lines_and_strips(self, tmp_path):
+        path = tmp_path / "perm.txt"
+        path.write_text("1\n \t\n\n 3 \n0\n\x1c2\n", newline="\r\n")  # int() keeps \x1c
+        assert formats.load_permutation(path) == [1, 3, 0, 2]
+
+    @pytest.mark.parametrize("data, where", [
+        ("0\n\n1 2\n", ":3: not an integer: '1 2'"),
+        ("0\n \nx\n1\n", ":3: not an integer: 'x'"),
+    ], ids=["two-on-a-line", "not-a-number"])
+    def test_permutation_bad_line_named(self, tmp_path, data, where):
+        path = tmp_path / "perm.txt"
+        path.write_text(data)
+        with pytest.raises(formats.InputFormatError) as info:
+            formats.load_permutation(path)
+        assert str(info.value) == f"{path}{where}"
 
     def test_poset_json_closure_applied(self, tmp_path):
         path = tmp_path / "p.json"
@@ -451,6 +583,20 @@ class TestCliCommands:
         ]
         assert run(["permutation", "--k", "2", "--input", str(path)]) == 0
         assert capsys.readouterr().out == "2\n"
+
+    def test_permutation_builds_trace_only_when_asked(self, capsys, tmp_path, monkeypatch):
+        path, witness = tmp_path / "perm.txt", tmp_path / "forest.json"
+        path.write_text("1\n2\n0\n3\n")
+        argv = ["permutation", "--k", "2", "--input", str(path), "--witness", str(witness)]
+        assert run(argv) == 0
+        want = capsys.readouterr().out, witness.read_bytes()
+
+        def no_trace(*args):
+            raise AssertionError("trace built without --trace")
+
+        monkeypatch.setattr("heapchains.cli.best_fit_trace", no_trace)
+        assert run(argv) == 0
+        assert (capsys.readouterr().out, witness.read_bytes()) == want
 
     def test_trapezoid(self, capsys, tmp_path):
         path = tmp_path / "bx.csv"
