@@ -18,28 +18,26 @@ returns the ratio's value: an int when it is integral, else a Fraction.
 The interval and box CSV loaders build no ``Fraction``, ``Interval`` or
 ``Box`` per row; they return the int key columns of the file's values on
 one scale as a lazy read-only sequence, ``poset._KeyedItems``, which builds
-an item only when one is read (the solvers read its columns).  A file is
-read by one of two routes, with the same result:
+an item only when one is read (the solvers read its columns).  One reader,
+``_columns``, makes every file's key columns: it splits every non-blank
+line on ``,`` at once, checks the field count with one ``any``, reads the
+cells by the first of three tiers that takes them all, and checks order
+column by column.
 
-* the bulk route, ``_bulk_columns``, splits every non-blank line on ``,``
-  at once and checks the field count with one ``any``.  If ``int()`` reads
-  every cell, the keys are those ints at scale 1.  Otherwise, if every
-  stripped cell is a plain ASCII number, ``[-+]?[0-9]*\\.?[0-9]+``, no
-  longer than the integer digit limit, each key is its digits with the
-  fraction padded to the file's longest, d, at scale ``10**d``: every
-  denominator is a power of ten, so these are the keys ``poset._scale``
-  gives.  A file whose padding would add more digits than the file has
-  characters (one long fraction among many short ones) is refused, since
-  ``int()`` is quadratic in a key's length.  Order is then checked column
-  by column;
-* the per-row route, ``_checked_columns``, runs when the bulk route refuses
-  the file (any ``ValueError``: a field count, a number, an order or a digit
-  limit).  It reads each row's ratios with ``_ratio`` and checks them as the
-  row is read (field count, numbers, then order, by cross-multiplying), so
-  the first bad line is the one an error names, with the message the
-  item's constructor gives, as before the bulk route existed.  At the end
-  the ratios go through ``poset._scale``.  ``p/q``, exponents, ``_`` beside
-  a point and decimals in non-ASCII digits are read by this route alone.
+1. ``int()`` reads every cell: the keys are those ints at scale 1.
+2. ``_padded_keys``: every stripped cell is a plain ASCII number,
+   ``[-+]?[0-9]*\\.?[0-9]+``, no longer than the digit limit; its key is its
+   digits with the fraction padded to the file's longest, d, at scale
+   ``10**d``, tier 3's key since every denominator is a power of ten.  It
+   refuses padding that would outgrow the file (``int()`` is quadratic in a
+   key's length: one long fraction among many short ones) or pass the limit.
+3. ``poset._scale`` over each cell's ``_ratio``: ``p/q``, exponents, ``_``
+   beside a point, non-ASCII digits and long fractions.
+
+A file the reader refuses (a field count, a number or an order) has a bad
+row.  The row pass, ``_row_error``, names the first one: it checks each row
+(field count, numbers, then order) before the next, with the message the
+item's constructor gives.
 
 The permutation loader reads every line with ``int()`` at once, and runs
 the line-by-line loop, which names the first bad line, only when that
@@ -74,7 +72,7 @@ from .poset import (
 )
 
 _EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)  # Fraction's exponent
-_PLAIN = re.compile(r"[-+]?[0-9]*\.?[0-9]+")  # a plain ASCII number, for _bulk_columns
+_PLAIN = re.compile(r"[-+]?[0-9]*\.?[0-9]+")  # a plain ASCII number, read without Fraction
 
 
 class InputFormatError(ValueError):
@@ -96,15 +94,9 @@ def _ratio(text: str, limit: int) -> tuple[int, int]:
             return int(text), 1
         except ValueError:
             pass
-    # A plain ASCII decimal, [-+]?[0-9]*\.[0-9]+, read as in the module docstring.
-    whole, _, frac = text.partition(".")
-    digits = whole[1:] if whole[:1] in "+-" else whole  # "" has [:1] == "", which is in "+-"
-    if (
-        text.isascii()
-        and frac.isdigit()
-        and (digits.isdigit() or not digits)
-        and (not limit or len(text) <= limit)
-    ):
+    # A plain ASCII decimal, read as in the module docstring.
+    if _PLAIN.fullmatch(text) and (not limit or len(text) <= limit):
+        whole, _, frac = text.partition(".")
         return int(whole + frac), 10 ** len(frac)
     exponent = limit and ("e" in text or "E" in text) and _EXPONENT.search(text)
     if exponent and abs(int(exponent[1])) > limit + len(text):
@@ -154,11 +146,24 @@ def _json(path):
         raise InputFormatError(f"{path}: invalid JSON: nested too deeply") from exc
 
 
-def _bulk_columns(text: str, fields: int, limit: int) -> tuple[list[list[int]], int]:
+def _padded_keys(cells: list[str], size: int, limit: int) -> tuple[list[int], int]:
+    """Tier 2 of the module docstring: the keys and scale of stripped plain
+    decimal ``cells`` from a text of ``size`` characters.  Raises ValueError
+    for cells it does not read."""
+    if not all(map(_PLAIN.fullmatch, cells)) or (limit and max(map(len, cells)) > limit):
+        raise ValueError("not plain decimals")
+    parts = [cell.partition(".") for cell in cells]
+    digits = max([len(frac) for _, _, frac in parts])
+    if digits * len(parts) > size:  # padding would outgrow the file; see the docstring
+        raise ValueError("padding too long")
+    # int() still raises past the digit limit, where padding made a key too long.
+    return [int(whole + frac.ljust(digits, "0")) for whole, _, frac in parts], 10**digits
+
+
+def _columns(text: str, fields: int, limit: int) -> tuple[list[list[int]], int]:
     """The key columns and scale of a CSV text's ``fields``-field rows, read
-    in one pass by the bulk route of the module docstring.  Raises
-    ValueError, naming no line, for any file it does not read; the
-    per-row route then judges that file."""
+    in one pass by the tiers of the module docstring.  Raises ValueError,
+    naming no line, for a file with a bad row; ``_row_error`` names it."""
     rows = [line.split(",") for line in text.split("\n") if line.strip()]
     if any(len(row) != fields for row in rows):
         raise ValueError("field count")
@@ -168,17 +173,15 @@ def _bulk_columns(text: str, fields: int, limit: int) -> tuple[list[list[int]], 
     except ValueError:
         cells = [*map(str.strip, chain.from_iterable(rows))]
         del rows
-        if not all(map(_PLAIN.fullmatch, cells)) or (limit and max(map(len, cells)) > limit):
-            raise
-        parts = [cell.partition(".") for cell in cells]
+        try:
+            keys, scale = _padded_keys(cells, len(text), limit)
+        except ValueError:
+            keys = None  # tier 3 runs outside the handler, whose traceback holds tier 2's lists
+        if keys is None:
+            ratios, cells = [_ratio(cell, limit) for cell in cells], None
+            keys, scale = _scale(ratios)
+            del ratios
         del cells
-        digits = max([len(frac) for _, _, frac in parts])
-        if digits * len(parts) > len(text):  # padding would outgrow the file; see the docstring
-            raise
-        # int() still raises past the digit limit, where padding made a key too long.
-        keys = [int(whole + frac.ljust(digits, "0")) for whole, _, frac in parts]
-        del parts
-        scale = 10**digits
     columns = [keys[c::fields] for c in range(fields)]
     del keys
     if any(any(map(operator.gt, low, high)) for low, high in zip(columns, columns[fields // 2:])):
@@ -186,19 +189,15 @@ def _bulk_columns(text: str, fields: int, limit: int) -> tuple[list[list[int]], 
     return columns, scale
 
 
-def _checked_columns(
-    path, text: str, kind: type, fields: int, limit: int
-) -> tuple[list[list[int]], int]:
-    """The key columns and scale of ``path``'s CSV ``text``, read row by row
-    (see the module docstring).  A row's field count, numbers and order are
-    all checked before the next row is read, so the first bad line is the
-    one named."""
+def _row_error(path, text: str, kind: type, fields: int, limit: int) -> InputFormatError | None:
+    """The error naming the first bad line of ``path``'s CSV ``text``, or
+    None when every row is good.  A row's field count, numbers and order are
+    all checked before the next row is read."""
     half = fields // 2
-    ratios: list[tuple[int, int]] = []
     for lineno, line in _lines(text):
         row = line.split(",")
         if len(row) != fields:
-            raise InputFormatError(f"{path}:{lineno}: expected {fields} fields, got {len(row)}")
+            return InputFormatError(f"{path}:{lineno}: expected {fields} fields, got {len(row)}")
         try:
             row = [_ratio(field.strip(), limit) for field in row]
             # Low <= high on each axis, cross-multiplied: denominators are positive.
@@ -206,22 +205,21 @@ def _checked_columns(
                 if p * s > r * q:
                     _row_item(kind, [_exact_value(*ratio) for ratio in row])  # raises its error
         except ValueError as exc:
-            raise InputFormatError(f"{path}:{lineno}: {exc}") from exc
-        ratios += row
-    keys, scale = _scale(ratios)
-    return [keys[c::fields] for c in range(fields)], scale
+            return InputFormatError(f"{path}:{lineno}: {exc}")
+    return None
 
 
 def _rows(path, kind: type, fields: int) -> Sequence:
     """The ``kind`` items of each line's ``fields`` comma-separated exact
-    numbers, as key columns on the file's one scale: the bulk route's, or
-    the per-row route's when the bulk route refuses the file."""
+    numbers, as key columns on the file's one scale.  A file ``_columns``
+    refuses raises the error ``_row_error`` gives: each of its refusals (a
+    field count, a ``_ratio`` error or an order) is a bad row."""
     text, limit = _read_text(path), _digit_limit()
     try:
-        return _KeyedItems(kind, *_bulk_columns(text, fields, limit))
+        return _KeyedItems(kind, *_columns(text, fields, limit))
     except ValueError:
-        pass  # outside this handler, the traceback frees the bulk route's lists
-    return _KeyedItems(kind, *_checked_columns(path, text, kind, fields, limit))
+        pass  # outside this handler, the traceback frees the reader's lists
+    raise _row_error(path, text, kind, fields, limit)
 
 
 def load_intervals_csv(path) -> Sequence[Interval]:

@@ -16,10 +16,10 @@ hands either route's keys on.  Every geometric family is a box set:
 ``_interval_boxes`` and ``_permutation_points`` embed the other families
 (see ``heapchains.greedy``).  The one sweep and the one dominance builder,
 ``_box_poset``, take those arrays.  The builder numbers each axis's keys
-0, 1, ... (``_dense_ranks``) to fit the int64 blocks in which its kernel
-compares them: O(n^2) work, 8-15 ms at n = 2,100 on one Xeon core, plus
-about 20 us per call.  The sweep hands them to its pool unranked.  A poset
-read from relations never touches numpy.
+0, 1, ... (``np.unique``'s inverse, on int64 and object keys alike) to fit
+the int64 blocks in which its kernel compares them: O(n^2) work, 12-20 ms
+at n = 2,100 on one Xeon core.  The sweep hands them to its pool unranked.
+A poset read from relations never touches numpy.
 """
 
 from __future__ import annotations
@@ -362,15 +362,6 @@ def _key_columns(items: Sequence, kind: type) -> tuple[tuple[list[int], ...], ..
     return tuple(k[:n] for k in keys), tuple(k[n:] for k in keys)
 
 
-def _dense_ranks(values: Sequence[Coord]) -> list[int]:
-    """Order-isomorphic ranks 0, 1, ...: equal values share one, and
-    rank(a) <= rank(b) iff a <= b.  The exact keys, ranked, so they are small
-    enough for the dominance kernel's int64 blocks."""
-    keys = _exact_keys(values)
-    rank = {key: r for r, key in enumerate(sorted(set(keys)))}
-    return [rank[key] for key in keys]
-
-
 def _check_permutation(perm: Iterable[int]) -> list[int]:
     """The sequence as a list of ints; TypeError for values that are not
     integers (floats, bools), NotAPermutation unless it is a bijection on 0..n-1.
@@ -447,7 +438,9 @@ def _box_poset(lo_x, lo_y, hi_x, hi_y) -> Poset:
     import numpy as np
 
     n = len(lo_x)
-    axes = [_dense_ranks(np.concatenate(axis).tolist()) for axis in ((lo_x, hi_x), (lo_y, hi_y))]
+    # Each axis's keys, int64 or object, ranked 0, 1, ... to fit the kernel's int64 blocks.
+    axes = [np.unique(np.concatenate(axis), return_inverse=True)[1]
+            for axis in ((lo_x, hi_x), (lo_y, hi_y))]
     lows, highs = np.array(axes, dtype=np.int64).reshape(2, 2, n).swapaxes(0, 1)
     masks: list[int] = []
     for start in range(0, n, _BLOCK_ROWS):

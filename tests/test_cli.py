@@ -30,6 +30,7 @@ from heapchains.poset import (
     HeapForest,
     IdOutOfRange,
     Interval,
+    _scale,
     poset_from_relations,
 )
 
@@ -77,9 +78,9 @@ _exact_texts = st.one_of(
 )
 
 
-# CSV cells for the loader's two routes: plain ASCII ints and decimals (the
-# bulk route's), ints past int64, and every form only the per-row route
-# reads or rejects.
+# CSV cells for the reader's three tiers: plain ASCII ints and decimals
+# (tiers 1 and 2), ints past int64, and every form only tier 3 reads or
+# the row pass rejects.
 _plain_cells = st.one_of(
     st.integers(-(2**70), 2**70).map(str),
     st.tuples(_signs, _ascii_digits, st.just("."), _ascii_digits.filter(bool)).map("".join),
@@ -126,15 +127,6 @@ def _csv_texts(draw, fields):
 _csv_files = st.sampled_from([2, 4]).flatmap(lambda fields: st.tuples(st.just(fields),
                                                                        _csv_texts(fields)))
 _LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 4300)() or 4300  # 4,300 where none
-
-
-def _route(read):
-    """A loader route's (columns, scale), or its error's text."""
-    try:
-        columns, scale = read()
-    except ValueError as exc:
-        return str(exc)
-    return [list(column) for column in columns], scale
 
 
 def _parses(text):
@@ -345,7 +337,7 @@ class TestFormats:
     @example((2, "\x1c5,6\n"))  # int() keeps \x1c, which strip() removes
     @example((4, "-9223372036854775809,0.5,18446744073709551616,12345678901234567890\n"))
     @example((2, "1,2.5\n-3.25,4\n"))  # int and decimal rows mixed
-    @example((2, "0,1." + "1" * _LIMIT + "\n"))  # past the plain route's length
+    @example((2, "0,1." + "1" * _LIMIT + "\n"))  # past tier 2's length
     # Each cell at the digit limit; padding the second's fraction to the first's passes it.
     @example((2, "0." + "1" * (_LIMIT - 2) + ",123456789012." + "1" * (_LIMIT - 13)))
     @example((2, "0.5" + "0" * (_LIMIT - 2) + ",0.6" + "0" * (_LIMIT - 2)))  # Fraction's 1/2, 3/5
@@ -356,6 +348,8 @@ class TestFormats:
     @example((4, ""))
     @settings(max_examples=300, deadline=None)
     def test_bulk_route_matches_per_row_route(self, file):
+        # The reader, _columns, against the row pass, _row_error, and the
+        # per-cell _ratio keys.
         fields, text = file
         kind, load = (Interval, formats.load_intervals_csv) if fields == 2 else (
             Box, formats.load_boxes_csv)
@@ -364,31 +358,42 @@ class TestFormats:
             path = Path(tmp, "f.csv")
             path.write_text(text, encoding="utf-8", newline="")
             read = formats._read_text(path)
-            want = _route(lambda: formats._checked_columns(path, read, kind, fields, limit))
-            bulk = _route(lambda: formats._bulk_columns(read, fields, limit))
+            error = formats._row_error(path, read, kind, fields, limit)
+            try:
+                columns = formats._columns(read, fields, limit)
+            except ValueError:
+                columns = None
             try:
                 got = load(path)
             except formats.InputFormatError as exc:
                 got = str(exc)
-        if isinstance(want, str):
-            assert isinstance(bulk, str), "the bulk route read a file the per-row route rejects"
-            assert want.startswith(f"{path}:") and got == want  # the same line, the same text
+        assert (error is None) == (columns is not None)
+        if error is not None:
+            assert str(error).startswith(f"{path}:") and got == str(error)  # the same line
             return
-        if not isinstance(bulk, str):
-            assert bulk == want
+        cells = [cell.strip() for _, line in formats._lines(read) for cell in line.split(",")]
+        keys, scale = _scale([formats._ratio(cell, limit) for cell in cells])
+        want = [keys[c::fields] for c in range(fields)], scale
+        assert columns == want
         assert ([list(column) for column in got._columns], got._scale) == want
-        expected = formats._KeyedItems(kind, *want)
-        assert list(got) == list(expected)
-        for item, other in zip(got, expected):
-            assert _typed_coords(*_coords(item)) == _typed_coords(*_coords(other))
+        coords = [value for item in got for value in _coords(item)]
+        assert _typed_coords(*coords) == _typed_coords(*map(formats.parse_exact, cells))
 
-    def test_bulk_route_refuses_long_padding(self):
-        # One long fraction would pad every short cell to its length.
+    def test_bulk_route_refuses_long_padding(self, tmp_path):
+        # One long fraction would pad every short cell to its length: tier 2
+        # refuses, and the file loads through tier 3's per-cell keys.
         text = "0." + "1" * 1000 + ",1\n" + "1.5,2.5\n" * 100
+        cells = [cell for line in text.split() for cell in line.split(",")]
         limit = formats._digit_limit()
         with pytest.raises(ValueError):
-            formats._bulk_columns(text, 2, limit)
-        assert formats._bulk_columns("1.5,2.25\n", 2, limit) == ([[150], [225]], 100)
+            formats._padded_keys(cells, len(text), limit)
+        keys, scale = _scale([formats._ratio(cell, limit) for cell in cells])
+        path = tmp_path / "long.csv"
+        path.write_text(text)
+        loaded = formats.load_intervals_csv(path)
+        assert ([list(column) for column in loaded._columns], loaded._scale) == (
+            [keys[0::2], keys[1::2]], scale)
+        assert formats._columns("1.5,2.25\n", 2, limit) == ([[150], [225]], 100)
 
     def test_boxes_roundtrip(self, tmp_path):
         path = tmp_path / "bx.csv"

@@ -41,7 +41,7 @@ from heapchains import (
     verify_forest,
 )
 from heapchains.greedy import _set_order, _SlotPool, _sweep
-from heapchains.poset import _dense_ranks, _exact_keys
+from heapchains.poset import _exact_keys
 
 from conftest import (
     dominated_pair,
@@ -525,6 +525,13 @@ def _typed(trace):
     return [(step, type(step.slot)) for step in trace]
 
 
+def _key_order(values):
+    """The dense ranks 0, 1, ... of the values' exact keys."""
+    keys = _exact_keys(values)
+    rank = {key: r for r, key in enumerate(sorted(set(keys)))}
+    return [rank[key] for key in keys]
+
+
 class TestNaiveReference:
     """Every greedy variant and the sweep against a plain list-scan best fit
     on the original coordinates: no sorted containers and no ranks."""
@@ -533,25 +540,25 @@ class TestNaiveReference:
 
     def test_dense_ranks_are_exact_across_types(self, monkeypatch):
         values = [1, Fraction(1, 2), 0.5, 0.1, Fraction(1, 10), -2, 1.0, 10**30]
-        assert _dense_ranks(values) == [4, 3, 3, 2, 1, 0, 4, 5]
-        assert _dense_ranks([]) == []
+        assert _key_order(values) == [4, 3, 3, 2, 1, 0, 4, 5]
+        assert _key_order([]) == []
         numpy_values = [np.int64(3), 1, np.int64(1), Fraction(1, 2), np.float32(0.5), 2**70]
-        assert _dense_ranks(numpy_values) == [2, 1, 1, 0, 0, 3]
+        assert _key_order(numpy_values) == [2, 1, 1, 0, 0, 3]
 
         # Plain ints rank by themselves; only the general route scales by an lcm.
         lcm_calls = []
         lcm = math.lcm
         monkeypatch.setattr(math, "lcm", lambda *qs: lcm_calls.append(qs) or lcm(*qs))
         ints = [5, -3, 5, 2**70, -(2**64), 0, -3, 2**63, 2**63 - 1]
-        assert _dense_ranks(ints) == [3, 1, 3, 6, 0, 2, 1, 5, 4]
+        assert _key_order(ints) == [3, 1, 3, 6, 0, 2, 1, 5, 4]
         assert _exact_keys(ints) is ints
         assert lcm_calls == []
-        assert _dense_ranks(ints) == _dense_ranks([Fraction(v) for v in ints])
+        assert _key_order(ints) == _key_order([Fraction(v) for v in ints])
         for odd in (True, np.int64(7)):
             mixed = ints + [odd]
-            want = _dense_ranks([Fraction(int(v)) for v in mixed])
+            want = _key_order([Fraction(int(v)) for v in mixed])
             lcm_calls.clear()
-            assert _dense_ranks(mixed) == want
+            assert _key_order(mixed) == want
             assert lcm_calls, type(odd)
 
         # The keys are exact and order-isomorphic, before any ranking.
@@ -678,7 +685,7 @@ class TestExactKeys:
     """Coordinates whose exact keys do not fit int64 (or, as a numpy array
     guessed by ``np.asarray``, would round to float64): the pool must rank
     them exactly.  Each variant matches the naive list scan on the original
-    coordinates, and its forest matches the one on ``_dense_ranks`` ranks.
+    coordinates, and its forest matches the one on ``_exact_keys`` keys.
     The same items written to a CSV file and loaded give the same answers
     from the file's key columns as from the items they build."""
 
@@ -699,8 +706,8 @@ class TestExactKeys:
             draw = self._draws(rng)
             n, k = rng.randint(0, 20), rng.choice((1, 2, 3))
             items = [Interval(*sorted((draw(), draw()))) for _ in range(n)]
-            ranks = _dense_ranks([item.left for item in items] + [item.right for item in items])
-            ranked = [Interval(ranks[i], ranks[n + i]) for i in range(n)]
+            keys = _exact_keys([item.left for item in items] + [item.right for item in items])
+            ranked = [Interval(keys[i], keys[n + i]) for i in range(n)]
             by_total = sorted(range(n), key=lambda i: (items[i].right, items[i].left))
             rows = [(item.left, item.right) for item in items]
             loaded = _loaded(rng, tmp_path / "iv.csv", rows, formats.load_intervals_csv)
@@ -758,8 +765,8 @@ class TestExactKeys:
                     with pytest.raises(CycleError):
                         poset_from_box_set(route)
                 continue
-            xs = _dense_ranks([b.lower[0] for b in boxes] + [b.upper[0] for b in boxes])
-            ys = _dense_ranks([b.lower[1] for b in boxes] + [b.upper[1] for b in boxes])
+            xs = _exact_keys([b.lower[0] for b in boxes] + [b.upper[0] for b in boxes])
+            ys = _exact_keys([b.lower[1] for b in boxes] + [b.upper[1] for b in boxes])
             ranked = [Box((xs[i], ys[i]), (xs[n + i], ys[n + i])) for i in range(n)]
             parent = _naive_sweep(boxes, k)
             count, forest = sweep_partition(boxes, k)
