@@ -38,6 +38,7 @@ from .oracle import (
 from .poset import (
     Box,
     CycleError,
+    HeapForest,
     IdOutOfRange,
     Interval,
     NotAPermutation,
@@ -208,8 +209,8 @@ def _cmd_crosscheck(args) -> int:
     print(f"permutation greedy vs flow: {args.trials} trials")
 
     # Three trials per k and mode, on forked workers wherever the process may
-    # use more than one CPU, however small the instance; drawn last, so the
-    # families above see the same instances with or without this one.
+    # use more than one CPU, however small the instance; drawn after the
+    # families above, so they see the same instances with or without this one.
     for k in (1, 2, 3):
         n, seed = rng.randint(1, 200), args.seed + k
         for mode, greedy in ((MODE_SEQUENCE, greedy_partition_sequence),
@@ -220,6 +221,26 @@ def _cmd_crosscheck(args) -> int:
                 if got != want:
                     failures.append(f"trials {mode} {got} != greedy {want} (trial {trial}, k={k})")
     print("parallel trials vs greedy: 18 trials")
+
+    # Max-heapable against the brute-force oracle, drawn last for the same reason.
+    for trial in range(args.trials):
+        k, items = trial % 3 + 1, _random_intervals(rng, rng.randint(1, 8))
+        try:
+            poset_from_interval_set(items)
+        except CycleError:  # a repeated point, as in check
+            continue
+        subset, forest, _ = greedy_max_heapable_subset(items, k)
+        want = oracle_max_heapable(items, k)
+        # The forest on the subset's own poset: item subset[i] is element i.
+        index = {e: i for i, e in enumerate(subset)}
+        chain = HeapForest(k, {index[e]: p if p is None else index[p]
+                               for e, p in forest.parent.items()})
+        if len(subset) != want:
+            failures.append(f"max-heapable {len(subset)} != oracle {want} (trial {trial}, k={k})")
+        elif len(chain.roots) > 1 or not verify_forest(
+                poset_from_interval_set([items[e] for e in subset]), chain, k):
+            failures.append(f"max-heapable witness is not one valid chain (trial {trial}, k={k})")
+    print(f"max-heapable vs oracle: {args.trials} trials")
 
     if failures:
         for line in failures:

@@ -85,25 +85,21 @@ def insert_interval(
 ) -> tuple[tuple[Coord, ...], Optional[Coord]]:
     """Insert one interval into a bare slot multiset.
 
-    Best fit consumes the highest slot value <= item.left; ``choose`` forces a
-    specific compatible slot value instead.  Either way k copies of
-    item.right are added.  Returns the new multiset (sorted) and the consumed
-    slot value, or None when the interval started a new chain.
+    Best fit consumes the highest slot value <= item.left.  ``choose`` forces
+    a slot value c <= item.left, which must be present: that is best fit
+    below c, since a present c is the highest slot value <= c.  Either way k
+    copies of item.right are added.  Returns the new multiset (sorted) and
+    the consumed slot value, or None when the interval started a new chain.
     """
     k = _check_arity(k)
     values = list(signature(slots))
-    consumed: Optional[Coord] = None
-    if choose is not None:
-        if choose > item.left:
-            raise IncompatibleChoice(f"slot {choose} exceeds left endpoint {item.left}")
-        idx = bisect_right(values, choose) - 1
-        if idx < 0 or values[idx] != choose:
-            raise IncompatibleChoice(f"slot {choose} not present in the multiset")
-        consumed = values.pop(idx)
-    else:
-        idx = bisect_right(values, item.left) - 1
-        if idx >= 0:
-            consumed = values.pop(idx)
+    bound = item.left if choose is None else choose
+    if bound > item.left:
+        raise IncompatibleChoice(f"slot {choose} exceeds left endpoint {item.left}")
+    idx = bisect_right(values, bound) - 1
+    if choose is not None and (idx < 0 or values[idx] != choose):
+        raise IncompatibleChoice(f"slot {choose} not present in the multiset")
+    consumed = values.pop(idx) if idx >= 0 else None
     for _ in range(k):
         insort(values, item.right)
     return tuple(values), consumed
@@ -253,9 +249,6 @@ class _Trace(_LazySequence):
 
     def __init__(self, order: tuple, owners: list, slot_of: Callable[[int], Coord]):
         self._columns, self._slot_of = (order, owners), slot_of
-
-    def _sliced(self, columns: list) -> _Trace:
-        return _Trace(*columns, self._slot_of)
 
     def _entry(self, item: int, owner: Optional[int]) -> TraceStep:
         if owner is None:

@@ -25,6 +25,7 @@ A poset read from relations never touches numpy.
 from __future__ import annotations
 
 import collections.abc
+import copy
 import math
 import numbers
 import operator
@@ -309,7 +310,9 @@ class _LazySequence(collections.abc.Sequence):
 
     def __getitem__(self, index):
         if isinstance(index, slice):
-            return self._sliced([column[index] for column in self._columns])
+            sliced = copy.copy(self)
+            sliced._columns = tuple(column[index] for column in self._columns)
+            return sliced
         return self._entry(*[column[index] for column in self._columns])
 
     def __iter__(self):
@@ -335,9 +338,6 @@ class _KeyedItems(_LazySequence):
 
     def __init__(self, kind: type, columns: Sequence[list[int]], scale: int):
         self._kind, self._columns, self._scale = kind, tuple(columns), scale
-
-    def _sliced(self, columns: list) -> _KeyedItems:
-        return _KeyedItems(self._kind, columns, self._scale)
 
     def _entry(self, *keys: int):
         return _row_item(self._kind, [_exact_value(key, self._scale) for key in keys])

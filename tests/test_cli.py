@@ -17,6 +17,7 @@ from heapchains import (
     SimConfig,
     estimate_scaling,
     formats,
+    greedy_max_heapable_subset,
     greedy_partition_sequence,
     greedy_partition_set,
     run_process,
@@ -650,6 +651,7 @@ class TestCliCommands:
         out = capsys.readouterr().out
         assert "sweep vs flow: 12 trials" in out and "all checks passed" in out
         assert "permutation greedy vs flow: 12 trials" in out
+        assert "max-heapable vs oracle: 12 trials" in out
 
     def test_crosscheck_reports_count_mismatch(self, capsys, monkeypatch):
         def off_by_one(solve):
@@ -669,6 +671,31 @@ class TestCliCommands:
             captured = capsys.readouterr()
             assert f"MISMATCH: {label} " in captured.err
             assert "all checks passed" not in captured.out
+
+    def test_crosscheck_reports_max_heapable_mismatch(self, capsys, monkeypatch):
+        def drop_a_leaf(items, k):  # still one valid chain, one item short
+            _, forest, trace = greedy_max_heapable_subset(items, k)
+            parent = dict(forest.parent)
+            del parent[max(set(parent) - set(parent.values()))]
+            return tuple(sorted(parent)), HeapForest(k, parent), trace
+
+        monkeypatch.setattr("heapchains.cli.greedy_max_heapable_subset", drop_a_leaf)
+        assert run(["crosscheck", "--trials", "12", "--seed", "7"]) == 1
+        captured = capsys.readouterr()
+        pattern = r"MISMATCH: max-heapable (\d+) != oracle (\d+) \(trial \d+, k=[123]\)"
+        found = [re.fullmatch(pattern, line) for line in captured.err.splitlines()]
+        assert len(found) == 12 and all(m and int(m[1]) == int(m[2]) - 1 for m in found)
+        assert "all checks passed" not in captured.out
+
+        def all_roots(items, k):  # the right size, but every item roots its own chain
+            subset, forest, trace = greedy_max_heapable_subset(items, k)
+            return subset, HeapForest(k, dict.fromkeys(forest.parent)), trace
+
+        monkeypatch.setattr("heapchains.cli.greedy_max_heapable_subset", all_roots)
+        assert run(["crosscheck", "--trials", "12", "--seed", "7"]) == 1
+        err = capsys.readouterr().err
+        assert "MISMATCH: max-heapable witness is not one valid chain" in err
+        assert "!=" not in err
 
     def test_crosscheck_checks_forked_trials(self, capsys, monkeypatch):
         # With two CPUs a worker runs the odd trials; giving only the forked

@@ -2,6 +2,8 @@ import collections.abc
 import math
 import random
 import re
+from bisect import bisect_right, insort
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -77,6 +79,47 @@ class TestSignatureAndDomination:
         assert dominates((), ())
 
 
+def _two_branch_insert(slots, item, k, choose=None):
+    """The two-branch ``insert_interval`` that one bisect lookup replaced,
+    kept as the reference: a forced choice and best fit each looked up,
+    checked and removed their own slot."""
+    values = list(signature(slots))
+    consumed = None
+    if choose is not None:
+        if choose > item.left:
+            raise IncompatibleChoice(f"slot {choose} exceeds left endpoint {item.left}")
+        idx = bisect_right(values, choose) - 1
+        if idx < 0 or values[idx] != choose:
+            raise IncompatibleChoice(f"slot {choose} not present in the multiset")
+        consumed = values.pop(idx)
+    else:
+        idx = bisect_right(values, item.left) - 1
+        if idx >= 0:
+            consumed = values.pop(idx)
+    for _ in range(k):
+        insort(values, item.right)
+    return tuple(values), consumed
+
+
+def _outcome(insert, *args, **kwargs):
+    """The repr of ``insert``'s result (values and their types), or the text
+    of the IncompatibleChoice it raised."""
+    try:
+        return repr(insert(*args, **kwargs))
+    except IncompatibleChoice as exc:
+        return f"IncompatibleChoice: {exc}"
+
+
+def _random_value(rng, base):
+    """A value near ``base``, in one of the exact and float forms: ints,
+    Fractions and floats of equal value mix, and ``base`` may lie past ±2**63."""
+    value = base + Fraction(rng.randint(-6, 6), rng.choice((1, 1, 2, 4)))
+    form = rng.randrange(3)
+    if form == 0 and value.denominator == 1:
+        return int(value)
+    return float(value) if form == 2 else value
+
+
 class TestInsertInterval:
     def test_attach_consumes_best_slot(self):
         slots, consumed = insert_interval((7, 7), Interval(7, 9), 2)
@@ -101,6 +144,55 @@ class TestInsertInterval:
     def test_choose_incompatible_slot_rejected(self):
         with pytest.raises(IncompatibleChoice):
             insert_interval((3, 7), Interval(5, 9), 1, choose=7)
+
+    def test_matches_two_branch_reference(self):
+        # Seeded cases: ints, Fractions and floats, equal values of mixed
+        # types, keys past ±2**63, and forced choices present, absent or
+        # above item.left.
+        rng = random.Random(24)
+        seen = Counter()
+        for case in range(20_000):
+            base = rng.choice((0, 0, 0, 2**63, -(2**63), 2**64))
+            slots = [_random_value(rng, base) for _ in range(rng.randint(0, 6))]
+            left, right = sorted((_random_value(rng, base), _random_value(rng, base)))
+            item, k = Interval(left, right), rng.randint(1, 3)
+            kind = rng.choice(("best", "present", "absent", "above"))
+            if kind == "present" and slots:
+                c = rng.choice(slots)  # or an equal value of another type
+                choose = rng.choice((c, Fraction(c), float(c) if float(c) == c else c))
+            elif kind == "absent":
+                choose = _random_value(rng, base)
+            elif kind == "above":
+                choose = item.left + rng.choice((1, Fraction(1, 3), 0.5))
+            else:
+                choose = None
+            want = _outcome(_two_branch_insert, slots, item, k, choose)
+            assert _outcome(insert_interval, slots, item, k, choose=choose) == want, case
+            assert _outcome(insert_interval, tuple(slots), item, k, choose) == want, case
+            if choose is None:
+                seen["best fit"] += 1
+            elif want.startswith("IncompatibleChoice"):
+                seen["exceeds" if "exceeds" in want else "absent"] += 1
+            else:
+                seen["forced"] += 1
+        assert len(seen) == 4 and min(seen.values()) > 1000, seen
+
+    def test_forced_slot_is_best_fit_below_it(self):
+        # The identity behind one lookup: forcing a present slot c <= item.left
+        # is best fit for the interval [c, item.right].
+        rng = random.Random(7)
+        checked = 0
+        for _ in range(4_000):
+            base = rng.choice((0, 2**63, -(2**63)))
+            slots = [_random_value(rng, base) for _ in range(rng.randint(1, 6))]
+            left, right = sorted((_random_value(rng, base), _random_value(rng, base)))
+            item, k = Interval(left, right), rng.randint(1, 3)
+            for c in slots:
+                if c <= item.left:
+                    forced = insert_interval(slots, item, k, choose=c)
+                    assert forced == insert_interval(slots, Interval(c, item.right), k)
+                    checked += 1
+        assert checked > 5_000
 
     @given(
         st.lists(st.integers(0, 20), max_size=8),
@@ -791,6 +883,7 @@ class TestLazyTrace:
         assert len(trace) == len(steps) == len(s1_items)
         assert [trace[i] for i in range(-len(steps), len(steps))] == list(steps + steps)
         for part in (slice(2, 5), slice(None, None, -1), slice(1, -1, 3), slice(7, 2)):
+            assert type(trace[part]) is type(trace)
             assert trace[part] == steps[part] and hash(trace[part]) == hash(steps[part])
         assert list(reversed(trace)) == list(reversed(steps))
         assert trace.index(steps[3]) == 3 and steps[3] in trace
