@@ -15,12 +15,14 @@ sorted tuples.
 
 Every partition is one sweep over boxes ordered by dominance, ``_sweep``:
 each family is a box embedding of its exact int keys, made in
-``heapchains.poset``, and the sweep orders all events with one
-``np.lexsort``.  One counted slot pool, ``_SlotPool``, ranks the boxes'
+``heapchains.poset``, and the sweep orders all events with one ``_order``:
+one argsort by x, and a ``np.lexsort`` over the tie keys only when two
+events share an x.  One counted slot pool, ``_SlotPool``, ranks the boxes'
 bounds (lower y) and slot values (upper y) from those keys, the only
-ranking they get: one rank per owner with the tie rule built in, and each
-rank's unused lives; callers name items, never ranks.  Best fit compares
-only ints, and its cost does not depend on k.  Its one loop,
+ranking they get: one rank per owner with the tie rule built in, each
+bound searched in sorted order, and each rank's unused lives; callers name
+items, never ranks.  Best fit compares only ints, and its cost does not
+depend on k.  Its one loop,
 ``_SlotPool.run``, serves the sweep (max-heapable adds ``reject``) and the
 particle process of ``heapchains.simulate``, which takes its float draws in
 ``_set_order``.  A trace is a read-only sequence that reports slots by
@@ -105,11 +107,23 @@ def insert_interval(
     return tuple(values), consumed
 
 
-def _set_order(lefts, rights) -> np.ndarray:
-    """Item ids in interval-set order: right endpoint, then left, then id."""
+def _order(keys: np.ndarray, *ties: np.ndarray) -> np.ndarray:
+    """``np.lexsort((*ties, keys))``: ids by key, equal keys by the last tie
+    key, and so on, then by id.  Keys that sort strictly increasing (no tie,
+    no NaN) admit one order, which one unstable argsort finds; only tied
+    keys pay for the lexsort."""
     import numpy as np
 
-    return np.lexsort((lefts, rights))
+    order = np.argsort(keys)
+    ranked = keys[order]
+    if (ranked[1:] > ranked[:-1]).all():
+        return order
+    return np.lexsort((*ties, keys))
+
+
+def _set_order(lefts, rights) -> np.ndarray:
+    """Item ids in interval-set order: right endpoint, then left, then id."""
+    return _order(rights, lefts)
 
 
 class _SlotPool:
@@ -128,16 +142,26 @@ class _SlotPool:
     def __init__(self, bounds, slots):
         import numpy as np
 
-        slots = np.asarray(slots)
-        owners = np.lexsort((-np.arange(len(slots)), slots))
+        slots, bounds = np.asarray(slots), np.asarray(bounds)
+        n = len(slots)
+        owners = _order(slots, -np.arange(n))
+        # Searched in sorted order, the bounds walk the sorted slots once.
+        # Each temporary array is freed before the next list is built, which
+        # keeps the peak near the three lists the pool keeps.
+        by_bound = np.argsort(bounds)
+        found = np.empty(len(bounds), dtype=np.intp)
+        found[by_bound] = np.searchsorted(slots[owners], bounds[by_bound], side="right") - 1
+        del by_bound
+        self._bounds = found.tolist()
+        del found
         ranks = np.empty_like(owners)
-        ranks[owners] = np.arange(len(owners))
-        self._bounds = (np.searchsorted(slots[owners], bounds, side="right") - 1).tolist()
+        ranks[owners] = np.arange(n)
         self._ranks = ranks.tolist()
+        del ranks
         self._owners = owners.tolist()
-        self._blocks = [0] * ((len(owners) + 63) >> 6)
+        self._blocks = [0] * ((n + 63) >> 6)
         self._summary = 0
-        self._lives = [0] * len(owners)
+        self._lives = [0] * n
 
     def run(self, steps, k: int, reject: bool = False) -> tuple[int, list]:
         """The one best-fit loop.  With n bounds, step ``i`` (0 <= i < n) takes
@@ -214,8 +238,10 @@ def _sweep(lo_x, lo_y, hi_x, hi_y, k: int, reject: bool = False) -> tuple[int, H
     upper y, lower y and id (for an interval set, ``_set_order``), then takes
     by upper x and id.  With ``reject``, a box that finds no slot once a
     chain has started takes nothing and, if zero-width, opens nothing.
-    Returns the chain-start count, the forest of the boxes that took, and
-    the box ids in the order they took.
+    Events sort by x with ``_order``, so the tie keys (phase, then upper and
+    lower y or upper x) are sorted only when two events share an x.  Returns
+    the chain-start count, the forest of the boxes that took, and the box
+    ids in the order they took.
     """
     import numpy as np
 
@@ -226,14 +252,14 @@ def _sweep(lo_x, lo_y, hi_x, hi_y, k: int, reject: bool = False) -> tuple[int, H
     opens = hi_x[wide]
     # Pool steps: i takes and opens, n + i only takes, ~i only opens.
     steps = np.concatenate((np.where(flat, ids, n + ids), ~wide))
-    # The sort is stable, so equal keys keep id order.  A take's second tie
-    # key is its lower x, the same for all its group.
-    events = steps[np.lexsort((
+    # Equal keys keep id order.  A take's second tie key is its lower x, the
+    # same for all its group.
+    events = steps[_order(
+        np.concatenate((lo_x, opens)),
         np.concatenate((np.where(flat, lo_y, lo_x), opens)),
         np.concatenate((np.where(flat, hi_y, hi_x), opens)),
         np.concatenate((np.where(flat, _BOTH, _TAKE), np.full(len(wide), _OPEN))),
-        np.concatenate((lo_x, opens)),
-    ))]
+    )]
     count, parent = _SlotPool(lo_y, hi_y).run(events.tolist(), k, reject)
     takes = events[events >= 0]
     order = np.where(takes >= n, takes - n, takes).tolist()

@@ -418,8 +418,13 @@ def _interval_boxes(items: Sequence[Interval], as_set: bool) -> tuple:
     """Intervals as box key arrays: item i of a sequence is (i, left)-(i, right),
     an item of a set the zero-width (right, left)-(right, right)."""
     (lefts,), (rights,) = _key_columns(items, Interval)
-    xs = rights if as_set else range(len(lefts))
-    return _box_arrays((xs, lefts), (xs, rights), repeats=as_set)
+    if as_set:
+        return _box_arrays((rights, lefts), (rights, rights), repeats=True)
+    import numpy as np
+
+    n = len(lefts)
+    xs, ys = np.arange(n, dtype=np.int64), _key_array([*lefts, *rights])
+    return xs, ys[:n], xs, ys[n:]
 
 
 def _permutation_points(perm: Iterable[int]) -> tuple:

@@ -146,9 +146,9 @@ def _trial_counts(config: SimConfig, first: int, step: int) -> list[int]:
 # Below this many arrivals (n x trials) a call runs serially.  Measured on a
 # 2-CPU host: a fork cycle (start, hand-back, join) costs about 10 ms in a
 # process that has forked before and about 30 ms more, mostly imports, in
-# one that has not; a trial costs about 1.3 us per arrival.  Forked calls
-# broke even near 30,000 arrivals warm and 65,000 in a cold CLI call, in
-# both modes.
+# one that has not; a trial costs 0.9-1.8 us per arrival at n = 25,000.
+# Forked calls broke even near 30,000 arrivals warm and between 50,000 and
+# 80,000 in a cold CLI call, in both modes.
 _FORK_MIN_ARRIVALS = 65_000
 # Where a process finds its cgroup v2 path, and the root that path is under.
 _CGROUP_FILES = ("/proc/self/cgroup", "/sys/fs/cgroup")

@@ -42,8 +42,9 @@ from heapchains import (
     sweep_partition,
     verify_forest,
 )
-from heapchains.greedy import _set_order, _SlotPool, _sweep
+from heapchains.greedy import _order, _set_order, _SlotPool, _sweep
 from heapchains.poset import _exact_keys
+from heapchains.simulate import _draws, trial_rng
 
 from conftest import (
     dominated_pair,
@@ -1211,3 +1212,100 @@ class TestSlotRanks:
                     slots.append([values[owner], owner, lives])
                 best = _naive_take(slots, bound_value)
                 assert _take(pool, j) == (None if best is None else best[1])
+
+
+def _order_keys(rng, dtype, n, tied):
+    """n keys of one dtype: tied keys repeat on a coarse grid, distinct keys
+    never repeat.  Object keys lie past +-2**63."""
+    top = max(1, n // 4) if tied else 4 * n + 8
+    values = [rng.randrange(top) for _ in range(n)] if tied else rng.sample(range(top), n)
+    if dtype == "float":
+        return np.array(values, dtype=float) / 3
+    if dtype == "object":
+        return np.array([v * 2**60 - 2**64 for v in values], dtype=object)
+    return np.array(values, dtype=np.int64) - 2**40
+
+
+class TestOrder:
+    """``_order(keys, *ties)`` is ``np.lexsort((*ties, keys))``: one argsort
+    when the sorted keys strictly increase, the lexsort when they do not."""
+
+    @pytest.mark.parametrize("dtype", ["int64", "float", "object"])
+    def test_matches_lexsort(self, dtype):
+        rng = random.Random({"int64": 71, "float": 72, "object": 73}[dtype])
+        tied = 0
+        for case in range(300):
+            n = rng.choice([0, 1, 2, 3, 17, 40, 200])
+            keys = _order_keys(rng, dtype, n, tied=case % 2 == 1)
+            ties = [np.array([rng.randrange(3) for _ in range(n)]) for _ in range(case % 3)]
+            assert _order(keys, *ties).tolist() == np.lexsort((*ties, keys)).tolist()
+            tied += len(set(keys.tolist())) < n
+        assert tied > 100
+
+    def test_nan_and_signed_zero_take_the_lexsort(self):
+        for keys in ([0.5, np.nan, 0.25, np.nan], [0.0, -0.0, 1.0], [np.nan], [np.nan, 1.0]):
+            keys = np.array(keys)
+            tie = np.arange(len(keys))[::-1].copy()
+            assert _order(keys, tie).tolist() == np.lexsort((tie, keys)).tolist()
+
+    def test_distinct_keys_never_lexsort(self, monkeypatch):
+        rng = random.Random(74)
+        monkeypatch.setattr(np, "lexsort", None)
+        for dtype in ("int64", "float", "object"):
+            for n in (0, 1, 2, 300):
+                keys = _order_keys(rng, dtype, n, tied=False)
+                assert _order(keys, np.zeros(n)).tolist() == np.argsort(keys, kind="stable").tolist()
+
+
+def _lexsort_ranking(bounds, slots):
+    """The pool's ranking before ``_order``: owners by one lexsort (value,
+    then descending id), each bound searched in its given order."""
+    slots = np.asarray(slots)
+    owners = np.lexsort((-np.arange(len(slots)), slots))
+    ranks = np.empty_like(owners)
+    ranks[owners] = np.arange(len(owners))
+    found = np.searchsorted(slots[owners], bounds, side="right") - 1
+    return found.tolist(), ranks.tolist(), owners.tolist()
+
+
+class TestPoolRanking:
+    """``_SlotPool`` ranks owners through ``_order`` and searches its bounds in
+    sorted order; its ranks and bounds equal the lexsort ranking's."""
+
+    @staticmethod
+    def _check(bounds, slots):
+        pool = _SlotPool(bounds, slots)
+        assert (pool._bounds, pool._ranks, pool._owners) == _lexsort_ranking(bounds, slots)
+
+    def test_fixed_cases(self):
+        self._check([], [])
+        self._check([-1.5, 0, 7], [])
+        self._check(range(-1, 6), [3, 1, 4, 1, 5])
+        self._check(range(8), [0.5, 1, 1, 2.5, 7.0])
+        self._check([-10, -20, -30], [0, 1, 2])  # every bound below every slot
+        self._check([2, 0.5, 1, 3.5], [1, 0.5, 1, 2])  # mixed int and float
+        huge = [2**64, -(2**63) - 1, 2**63, 3]
+        self._check(np.array(huge[::-1], dtype=object), np.array(huge, dtype=object))
+
+    def test_seeded_draws(self):
+        for trial in range(40):
+            lefts, rights = _draws(trial_rng(9, trial), trial * 25)
+            self._check(lefts, rights)
+            # Rounded draws tie among themselves and with the bounds.
+            self._check(np.round(lefts, 1), np.round(rights, 1))
+            order = _set_order(lefts, rights)
+            self._check(lefts[order], rights[order])
+
+    @pytest.mark.parametrize("dtype", ["int64", "float", "object"])
+    def test_random_grids(self, dtype):
+        rng = random.Random({"int64": 75, "float": 76, "object": 77}[dtype])
+        for case in range(300):
+            n = rng.choice([0, 1, 2, 17, 64, 65, 300])
+            slots = _order_keys(rng, dtype, n, tied=case % 2 == 1)
+            m = rng.choice([0, 1, n, n + 7])
+            pool_keys = _order_keys(rng, dtype, m + n, tied=True)
+            # Bounds on the slots' grid, plus bounds below and above every slot.
+            bounds = np.concatenate((slots, pool_keys[:m]))[rng.sample(range(m + n), m)]
+            if m and n:
+                bounds[0], bounds[-1] = slots.min() - 1, slots.max() + 1
+            self._check(bounds, slots)
