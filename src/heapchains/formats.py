@@ -19,16 +19,21 @@ The interval and box CSV loaders build no ``Fraction``, ``Interval`` or
 ``Box`` per row; they return the int key columns of the file's values on
 one scale as a lazy read-only sequence, ``poset._KeyedItems``, which builds
 an item only when one is read (the solvers read its columns).  One reader,
-``_columns``, makes every file's key columns: it splits every non-blank
-line on ``,`` at once, checks the field count with one ``any``, reads the
-cells by the first of three tiers that takes them all, and checks order
-column by column.
+``_columns``, makes every file's key columns: it checks every non-blank
+line's comma count at once, joins the lines with ``,`` and splits that text
+into one flat list of cells (no list per row), reads the cells by the first
+of three tiers that takes them all, and checks order column by column.
 
 1. ``int()`` reads every cell: the keys are those ints at scale 1.
-2. ``_padded_keys``: every stripped cell is a plain ASCII number,
-   ``[-+]?[0-9]*\\.?[0-9]+``, no longer than the digit limit; its key is its
-   digits with the fraction padded to the file's longest, d, at scale
-   ``10**d``, tier 3's key since every denominator is a power of ten.  It
+2. Every stripped cell is a plain ASCII number, ``[-+]?[0-9]*\\.?[0-9]+``,
+   no longer than the digit limit; its key is its digits with the fraction
+   padded to the file's longest, d, at scale ``10**d``, tier 3's key since
+   every denominator is a power of ten.  When every cell has the first
+   cell's d > 0 fraction digits and no whitespace, one regex match over the
+   joined text checks them all and the keys are that text without its
+   points, split and read by ``int()``, with no padding and no partition per
+   cell.
+   Any other file goes to ``_padded_keys``, which pads cell by cell and
    refuses padding that would outgrow the file (``int()`` is quadratic in a
    key's length: one long fraction among many short ones) or pass the limit.
 3. ``poset._scale`` over each cell's ``_ratio``: ``p/q``, exponents, ``_``
@@ -42,6 +47,11 @@ item's constructor gives.
 The permutation loader reads every line with ``int()`` at once, and runs
 the line-by-line loop, which names the first bad line, only when that
 fails.
+
+Every file is written through one helper, ``_write_text``.  A poset goes
+through ``json.dumps``; a witness forest's text, the one ``json.dumps``
+would give, is rendered straight from its sorted ids, after every id and k
+has been checked, so a forest the loader would refuse is never written.
 """
 
 from __future__ import annotations
@@ -51,7 +61,7 @@ import operator
 import re
 import sys
 from fractions import Fraction
-from itertools import chain
+from itertools import repeat
 from typing import Sequence
 
 from .poset import (
@@ -73,6 +83,8 @@ from .poset import (
 
 _EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)  # Fraction's exponent
 _PLAIN = re.compile(r"[-+]?[0-9]*\.?[0-9]+")  # a plain ASCII number, read without Fraction
+# Comma-joined plain decimals, each with exactly d fraction digits: format with (d, d).
+_UNIFORM = r"[-+]?[0-9]*\.[0-9]{%d}(?:,[-+]?[0-9]*\.[0-9]{%d})*"
 
 
 class InputFormatError(ValueError):
@@ -147,9 +159,9 @@ def _json(path):
 
 
 def _padded_keys(cells: list[str], size: int, limit: int) -> tuple[list[int], int]:
-    """Tier 2 of the module docstring: the keys and scale of stripped plain
-    decimal ``cells`` from a text of ``size`` characters.  Raises ValueError
-    for cells it does not read."""
+    """Tier 2 of the module docstring for cells of mixed precision: the keys
+    and scale of stripped plain decimal ``cells`` from a text of ``size``
+    characters.  Raises ValueError for cells it does not read."""
     if not all(map(_PLAIN.fullmatch, cells)) or (limit and max(map(len, cells)) > limit):
         raise ValueError("not plain decimals")
     parts = [cell.partition(".") for cell in cells]
@@ -164,15 +176,26 @@ def _columns(text: str, fields: int, limit: int) -> tuple[list[list[int]], int]:
     """The key columns and scale of a CSV text's ``fields``-field rows, read
     in one pass by the tiers of the module docstring.  Raises ValueError,
     naming no line, for a file with a bad row; ``_row_error`` names it."""
-    rows = [line.split(",") for line in text.split("\n") if line.strip()]
-    if any(len(row) != fields for row in rows):
+    lines = [*filter(str.strip, text.split("\n"))]
+    if {*map(str.count, lines, repeat(","))} - {fields - 1}:
         raise ValueError("field count")
+    joined = ",".join(lines)
+    del lines
+    cells = joined.split(",") if joined else []
     try:
-        keys, scale = list(map(int, chain.from_iterable(rows))), 1
-        del rows
+        keys, scale = list(map(int, cells)), 1
     except ValueError:
-        cells = [*map(str.strip, chain.from_iterable(rows))]
-        del rows
+        keys = None
+    if keys is None:
+        # Tier 2 in one pass when every cell has the first cell's d > 0 fraction digits.
+        point = cells[0].find(".") + 1
+        digits = point and len(cells[0]) - point
+        if (digits and re.fullmatch(_UNIFORM % (digits, digits), joined)
+                and not (limit and max(map(len, cells)) > limit)):
+            keys, scale = list(map(int, joined.replace(".", "").split(","))), 10**digits
+    del joined
+    if keys is None:
+        cells = [*map(str.strip, cells)]
         try:
             keys, scale = _padded_keys(cells, len(text), limit)
         except ValueError:
@@ -181,7 +204,7 @@ def _columns(text: str, fields: int, limit: int) -> tuple[list[list[int]], int]:
             ratios, cells = [_ratio(cell, limit) for cell in cells], None
             keys, scale = _scale(ratios)
             del ratios
-        del cells
+    del cells
     columns = [keys[c::fields] for c in range(fields)]
     del keys
     if any(any(map(operator.gt, low, high)) for low, high in zip(columns, columns[fields // 2:])):
@@ -267,10 +290,15 @@ def load_poset_json(path) -> Poset:
         ) from exc
 
 
-def _write_json(path, obj) -> None:
+def _write_text(path, text: str) -> None:
+    """The one file writer: ``text`` as UTF-8."""
     with open(path, "w", encoding="utf-8") as handle:
-        # json.dumps runs the C encoder; json.dump always runs the Python one.
-        handle.write(json.dumps(obj) + "\n")
+        handle.write(text)
+
+
+def _write_json(path, obj) -> None:
+    # json.dumps runs the C encoder; json.dump always runs the Python one.
+    _write_text(path, json.dumps(obj) + "\n")
 
 
 def save_poset_json(path, poset: Poset) -> None:
@@ -278,16 +306,18 @@ def save_poset_json(path, poset: Poset) -> None:
 
 
 def save_forest_json(path, forest: HeapForest) -> None:
-    """{"k", "roots", "parent": {child: parent}}; roots and children serialized
-    ascending, split in one pass over the sorted ids."""
-    links, roots, parent = forest.parent, [], {}
-    for child in sorted(links):
-        par = links[child]
-        if par is None:
-            roots.append(child)
-        else:
-            parent[child] = par  # json.dumps writes an int key as its str()
-    _write_json(path, {"k": forest.k, "roots": roots, "parent": parent})
+    """{"k", "roots", "parent": {child: parent}}, the text ``json.dumps``
+    gives, with roots and children ascending.  The text is rendered from the
+    sorted ids, and the file is opened only after every id has passed
+    ``_element_id`` (TypeError for bools, floats and strings) and k
+    ``_check_arity`` (ValueError), so a refused forest leaves it untouched."""
+    k, links = _check_arity(forest.k), forest.parent
+    if {*map(type, links)} - {int} or {*map(type, links.values())} - {int, type(None)}:
+        links = {_element_id(c): p if p is None else _element_id(p) for c, p in links.items()}
+    ids = sorted(links)
+    roots = ", ".join([str(c) for c in ids if links[c] is None])
+    parent = ", ".join([f'"{c}": {links[c]}' for c in ids if links[c] is not None])
+    _write_text(path, f'{{"k": {k}, "roots": [{roots}], "parent": {{{parent}}}}}\n')
 
 
 def load_forest_json(path) -> HeapForest:

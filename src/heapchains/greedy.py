@@ -263,7 +263,8 @@ def _sweep(lo_x, lo_y, hi_x, hi_y, k: int, reject: bool = False) -> tuple[int, H
     count, parent = _SlotPool(lo_y, hi_y).run(events.tolist(), k, reject)
     takes = events[events >= 0]
     order = np.where(takes >= n, takes - n, takes).tolist()
-    return count, HeapForest(k, {i: parent[i] for i in order if parent[i] != -1}), order
+    # In id order, so a witness writer's sort finds one run.
+    return count, HeapForest(k, {i: p for i, p in enumerate(parent) if p != -1}), order
 
 
 class _Trace(_LazySequence):

@@ -15,10 +15,12 @@ hands either route's keys on.  Every geometric family is a box set:
 ``_box_arrays`` turns box key columns into four key arrays, and
 ``_interval_boxes`` and ``_permutation_points`` embed the other families
 (see ``heapchains.greedy``).  The one sweep and the one dominance builder,
-``_box_poset``, take those arrays.  The builder numbers each axis's keys
+``_box_poset``, take those arrays.  The builder takes any number of axes
+(an interval set needs one, right_i <= left_j) and numbers each axis's keys
 0, 1, ... (``np.unique``'s inverse, on int64 and object keys alike) to fit
-the int64 blocks in which its kernel compares them: O(n^2) work, 12-20 ms
-at n = 2,100 on one Xeon core.  The sweep hands them to its pool unranked.
+the int64 blocks in which its kernel compares them: O(n^2) work per axis,
+about 10 ms for an interval set of 2,100 items on one Xeon core.  The sweep
+hands the keys to its pool unranked.
 A poset read from relations never touches numpy.
 """
 
@@ -362,27 +364,23 @@ def _key_columns(items: Sequence, kind: type) -> tuple[tuple[list[int], ...], ..
     return tuple(k[:n] for k in keys), tuple(k[n:] for k in keys)
 
 
-def _check_permutation(perm: Iterable[int]) -> list[int]:
-    """The sequence as a list of ints; TypeError for values that are not
-    integers (floats, bools), NotAPermutation unless it is a bijection on 0..n-1.
-    The message names the first value out of range or repeated, and its position."""
-    seq = [v if v.__class__ is int else _element_id(v) for v in perm]
+def _permutation_error(seq: list[int]) -> NotAPermutation:
+    """The error for a list of ints that is not a bijection on 0..n-1: it
+    names the first value out of range or repeated, and its position."""
     n = len(seq)
-    if sorted(seq) != list(range(n)):
-        # The loop breaks: n distinct values in 0..n-1 would be a bijection.
-        first: dict[int, int] = {}
-        for pos, value in enumerate(seq):
-            if not 0 <= value < n:
-                problem = "is out of range"
-                break
-            if value in first:
-                problem = f"repeats position {first[value]}"
-                break
-            first[value] = pos
-        raise NotAPermutation(
-            f"not a bijection on 0..{n - 1}: value {value} at position {pos} {problem}"
-        )
-    return seq
+    # The loop breaks: n distinct values in 0..n-1 would be a bijection.
+    first: dict[int, int] = {}
+    for pos, value in enumerate(seq):
+        if not 0 <= value < n:
+            problem = "is out of range"
+            break
+        if value in first:
+            problem = f"repeats position {first[value]}"
+            break
+        first[value] = pos
+    return NotAPermutation(
+        f"not a bijection on 0..{n - 1}: value {value} at position {pos} {problem}"
+    )
 
 
 def _check_distinct_points(low: tuple[Sequence, ...], high: tuple[Sequence, ...]) -> None:
@@ -404,11 +402,10 @@ def _key_array(keys: Sequence[int]):
         return np.array(keys, dtype=object)
 
 
-def _box_arrays(low: tuple[Sequence[int], ...], high: tuple[Sequence[int], ...], repeats: bool):
+def _box_arrays(low: tuple[Sequence[int], ...], high: tuple[Sequence[int], ...]):
     """Box key columns, shaped as ``_key_columns`` gives them, as four key arrays
-    (lo_x, lo_y, hi_x, hi_y).  If points can ``repeat``, checks they do not."""
-    if repeats:
-        _check_distinct_points(low, high)
+    (lo_x, lo_y, hi_x, hi_y), after checking that no point repeats."""
+    _check_distinct_points(low, high)
     n = len(low[0])
     xs, ys = (_key_array([*lo, *hi]) for lo, hi in zip(low, high))
     return xs[:n], ys[:n], xs[n:], ys[n:]
@@ -416,42 +413,58 @@ def _box_arrays(low: tuple[Sequence[int], ...], high: tuple[Sequence[int], ...],
 
 def _interval_boxes(items: Sequence[Interval], as_set: bool) -> tuple:
     """Intervals as box key arrays: item i of a sequence is (i, left)-(i, right),
-    an item of a set the zero-width (right, left)-(right, right)."""
+    an item of a set the zero-width (right, left)-(right, right), whose x
+    bounds are both the one right-key array."""
     (lefts,), (rights,) = _key_columns(items, Interval)
-    if as_set:
-        return _box_arrays((rights, lefts), (rights, rights), repeats=True)
-    import numpy as np
-
     n = len(lefts)
-    xs, ys = np.arange(n, dtype=np.int64), _key_array([*lefts, *rights])
+    ys = _key_array([*lefts, *rights])
+    if as_set:
+        _check_distinct_points((rights, lefts), (rights, rights))
+        xs = ys[n:]
+    else:
+        import numpy as np
+
+        xs = np.arange(n, dtype=np.int64)
     return xs, ys[:n], xs, ys[n:]
 
 
 def _permutation_points(perm: Iterable[int]) -> tuple:
     """A permutation as box key arrays: value v at position p is the point
-    (p, v), box v.  No two points share an x, so none repeats."""
+    (p, v), box v.  No two points share an x, so none repeats.  TypeError for
+    values that are not integers (floats, bools); NotAPermutation, from
+    ``_permutation_error``, unless the sequence is a bijection on 0..n-1."""
     import numpy as np
 
-    seq = _check_permutation(perm)
-    positions, values = np.argsort(np.array(seq, dtype=np.int64)), np.arange(len(seq))
+    seq = [v if v.__class__ is int else _element_id(v) for v in perm]
+    values = np.arange(len(seq))
+    try:
+        keys = np.array(seq, dtype=np.int64)
+    except OverflowError:  # a value past int64 is out of range
+        raise _permutation_error(seq) from None
+    positions = np.argsort(keys)
+    if not (keys[positions] == values).all():
+        raise _permutation_error(seq)
     return positions, values, positions, values
 
 
-def _box_poset(lo_x, lo_y, hi_x, hi_y) -> Poset:
-    """The one dominance builder, on box key arrays: less(i, j) iff i != j and
-    upper(i) <= lower(j) componentwise.  The caller checks for repeated points."""
+def _box_poset(*bounds) -> Poset:
+    """The one dominance builder, on the key arrays of d-dimensional boxes,
+    the d lower bounds then the d upper bounds (lo_x, lo_y, hi_x, hi_y for
+    d = 2): less(i, j) iff i != j and upper(i) <= lower(j) on every axis.
+    The caller checks for repeated points."""
     import numpy as np
 
-    n = len(lo_x)
+    d, n = len(bounds) // 2, len(bounds[0])
     # Each axis's keys, int64 or object, ranked 0, 1, ... to fit the kernel's int64 blocks.
     axes = [np.unique(np.concatenate(axis), return_inverse=True)[1]
-            for axis in ((lo_x, hi_x), (lo_y, hi_y))]
-    lows, highs = np.array(axes, dtype=np.int64).reshape(2, 2, n).swapaxes(0, 1)
+            for axis in zip(bounds[:d], bounds[d:])]
+    lows, highs = np.array(axes, dtype=np.int64).reshape(d, 2, n).swapaxes(0, 1)
     masks: list[int] = []
     for start in range(0, n, _BLOCK_ROWS):
         rows = np.arange(start, min(start + _BLOCK_ROWS, n))
         less = highs[0, rows, None] <= lows[0]
-        less &= highs[1, rows, None] <= lows[1]
+        for high, low in zip(highs[1:], lows[1:]):
+            less &= high[rows, None] <= low
         less[rows - start, rows] = False
         packed = np.packbits(less, axis=1, bitorder="little")
         masks.extend(int.from_bytes(row.tobytes(), "little") for row in packed)
@@ -464,8 +477,10 @@ def poset_from_permutation(perm: Iterable[int]) -> Poset:
 
 
 def poset_from_interval_set(items: Sequence[Interval]) -> Poset:
-    """Interval dominance: less(i, j) iff items[i].right <= items[j].left."""
-    return _box_poset(*_interval_boxes(items, as_set=True))
+    """Interval dominance: less(i, j) iff items[i].right <= items[j].left.
+    That one axis decides it: right_i <= left_j implies right_i <= right_j."""
+    _, lefts, _, rights = _interval_boxes(items, as_set=True)
+    return _box_poset(lefts, rights)
 
 
 def poset_from_interval_sequence(items: Sequence[Interval]) -> Poset:
@@ -475,7 +490,7 @@ def poset_from_interval_sequence(items: Sequence[Interval]) -> Poset:
 
 def poset_from_box_set(items: Sequence[Box]) -> Poset:
     """Box dominance: componentwise upper(i) <= lower(j)."""
-    return _box_poset(*_box_arrays(*_key_columns(items, Box), repeats=True))
+    return _box_poset(*_box_arrays(*_key_columns(items, Box)))
 
 
 @dataclass(frozen=True)

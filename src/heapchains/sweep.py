@@ -20,4 +20,4 @@ def sweep_partition(boxes: Sequence[Box], k: int) -> tuple[int, HeapForest]:
     over the original box ids.  Two boxes that are one point raise CycleError.
     """
     k = _check_arity(k)
-    return _sweep(*_box_arrays(*_key_columns(boxes, Box), repeats=True), k)[:2]
+    return _sweep(*_box_arrays(*_key_columns(boxes, Box)), k)[:2]

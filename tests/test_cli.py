@@ -9,6 +9,7 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -128,6 +129,32 @@ def _csv_texts(draw, fields):
 _csv_files = st.sampled_from([2, 4]).flatmap(lambda fields: st.tuples(st.just(fields),
                                                                        _csv_texts(fields)))
 _LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 4300)() or 4300  # 4,300 where none
+
+
+def _json_dumps_forest(forest):
+    """The witness text as ``json.dumps`` writes it, kept as a reference for
+    the direct writer: roots and children split over the sorted ids."""
+    links, roots, parent = forest.parent, [], {}
+    for child in sorted(links):
+        par = links[child]
+        if par is None:
+            roots.append(child)
+        else:
+            parent[child] = par
+    return json.dumps({"k": forest.k, "roots": roots, "parent": parent}) + "\n"
+
+
+@st.composite
+def _forests(draw):
+    """A forest of distinct ids, some past 2**64 or negative, in a random
+    dict order; each parent is None, another id or any int."""
+    ids = draw(st.lists(st.integers(-(2**70), 2**70) | st.integers(0, 40), unique=True, max_size=30))
+    links = st.none() | st.integers(-(2**70), 2**70)
+    if ids:
+        links |= st.sampled_from(ids)
+    parents = draw(st.lists(links, min_size=len(ids), max_size=len(ids)))
+    order = draw(st.permutations(range(len(ids))))
+    return HeapForest(draw(st.integers(1, 9)), {ids[i]: parents[i] for i in order})
 
 
 def _parses(text):
@@ -347,6 +374,13 @@ class TestFormats:
     @example((4, "0,0,1,1\n2,0,1,1\n0,0,1/0,1\n"))  # out of order, then unparsable
     @example((2, "1,2\n9\n"))
     @example((4, ""))
+    # Uniform fraction digits, read by tier 2's one pass: d = 1, d = 3 with signs.
+    @example((2, "0.5,1.5\n0.2,0.9\n1.5,2.5\n"))
+    @example((4, "0.125,1.250,2.500,3.000\n-.250,+0.250,-0.125,1.000\n"))
+    @example((2, "-.5,+0.5\n"))
+    @example((2, "5,5.250\n"))  # one cell without a point
+    @example((2, "0.125,1.250\n2.5000,3.125\n"))  # one cell with d + 1 digits
+    @example((2, "0.5" + "0" * _LIMIT + ",0.6" + "0" * _LIMIT))  # uniform, past the digit limit
     @settings(max_examples=300, deadline=None)
     def test_bulk_route_matches_per_row_route(self, file):
         # The reader, _columns, against the row pass, _row_error, and the
@@ -508,6 +542,42 @@ class TestFormats:
         path.write_text(text)
         with pytest.raises(formats.InputFormatError):
             formats.load_forest_json(path)
+
+    @given(_forests())
+    @example(HeapForest(1, {}))
+    @example(HeapForest(9, {i: None for i in range(5)}))  # all roots
+    @example(HeapForest(2, {2**64 + 1: None, 2**64: 2**64 + 1, -3: 2**64, 7: -(2**70)}))
+    @settings(max_examples=200, deadline=None)
+    def test_forest_text_matches_json_dumps(self, forest):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp, "f.json")
+            formats.save_forest_json(path, forest)
+            assert path.read_bytes() == _json_dumps_forest(forest).encode()
+
+    def test_forest_roundtrip_with_numpy_ids(self, tmp_path):
+        forest = HeapForest(np.int64(2), {np.int64(3): np.int32(0), 0: None, np.int64(2): 3,
+                                          1: np.int64(0)})
+        path = tmp_path / "f.json"
+        formats.save_forest_json(path, forest)
+        assert formats.load_forest_json(path) == forest
+        assert path.read_text() == '{"k": 2, "roots": [0], "parent": {"1": 0, "2": 3, "3": 0}}\n'
+
+    @pytest.mark.parametrize("k, parent, error", [
+        (1, {True: None}, TypeError),
+        (1, {0: None, 2: True}, TypeError),
+        (1, {1.0: None}, TypeError),
+        (1, {0: None, 1: 0.0}, TypeError),
+        (1, {"1": None}, TypeError),
+        (1, {0: None, 1: "0"}, TypeError),
+        (True, {0: None}, ValueError),
+        (0, {0: None}, ValueError),
+    ])
+    def test_forest_with_non_integer_ids_leaves_file_untouched(self, tmp_path, k, parent, error):
+        path = tmp_path / "f.json"
+        path.write_text("kept\n")
+        with pytest.raises(error):
+            formats.save_forest_json(path, HeapForest(k, parent))
+        assert path.read_text() == "kept\n"
 
     def test_forest_roundtrip(self, tmp_path):
         from heapchains import greedy_partition_sequence

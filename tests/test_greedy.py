@@ -329,8 +329,13 @@ class TestPermutationPartition:
             ((1, -1, 0), "not a bijection on 0..2: value -1 at position 1 is out of range"),
             ((2, 0, 0, 9), "not a bijection on 0..3: value 0 at position 2 repeats position 1"),
             ([0] * 5000, "not a bijection on 0..4999: value 0 at position 1 repeats position 0"),
+            # Past int64, where the bijection check's int64 array cannot hold the value.
+            ((0, 2**63, 1),
+             "not a bijection on 0..2: value 9223372036854775808 at position 1 is out of range"),
+            ((1, -(2**63) - 1, 0),
+             "not a bijection on 0..2: value -9223372036854775809 at position 1 is out of range"),
         ],
-        ids=["out-of-range", "negative", "repeat", "long"],
+        ids=["out-of-range", "negative", "repeat", "long", "past-int64", "below-int64"],
     )
     def test_non_bijection_names_first_bad_value(self, perm, message):
         with pytest.raises(NotAPermutation) as raised:

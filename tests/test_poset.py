@@ -29,6 +29,7 @@ from heapchains import (
     sweep_partition,
     verify_forest,
 )
+from heapchains.poset import _box_poset, _interval_boxes
 
 from conftest import S1_PAIRS, random_poset
 
@@ -474,6 +475,20 @@ class TestIntervalPosets:
     def test_single_degenerate_interval_ok(self):
         p = poset_from_interval_set([Interval(2, 2), Interval(3, 4)])
         assert p.pairs() == [(0, 1)]
+
+    def test_set_on_one_axis_matches_its_two_axis_boxes(self):
+        # right_i <= left_j decides the set order; the zero-width boxes'
+        # x test, right_i <= right_j, adds nothing.  Keys past int64 too.
+        rng = random.Random(7)
+        grid = [-(2**64), -1, 0, 1, 2, 2**63, 2**63 + 1, 2**80]
+        for trial in range(300):
+            values = grid if trial % 2 else range(-3, 25)
+            items = [Interval(*sorted(rng.choices(values, k=2))) for _ in range(rng.randint(0, 40))]
+            try:
+                got = poset_from_interval_set(items)
+            except CycleError:
+                continue
+            assert got == _box_poset(*_interval_boxes(items, as_set=True)), items
 
 
 _NON_FINITE = [math.nan, math.inf, -math.inf] + [

@@ -136,7 +136,7 @@ class TestSweepProperties:
             assert count == k_width(poset, k)[0] == len(forest.roots)
             assert verify_forest(poset, forest, k)
             checked += 1
-            huge += _box_arrays(*_key_columns(boxes, Box), repeats=True)[0].dtype == object
+            huge += _box_arrays(*_key_columns(boxes, Box))[0].dtype == object
             flat += sum(box.lower[0] == box.upper[0] for box in boxes)
         assert checked > 200 and huge > 150 and flat > 250
 
