@@ -25,19 +25,16 @@ into one flat list of cells (no list per row), reads the cells by the first
 of three tiers that takes them all, and checks order column by column.
 
 1. ``int()`` reads every cell: the keys are those ints at scale 1.
-2. Every stripped cell is a plain ASCII number, ``[-+]?[0-9]*\\.?[0-9]+``,
-   no longer than the digit limit; its key is its digits with the fraction
-   padded to the file's longest, d, at scale ``10**d``, tier 3's key since
-   every denominator is a power of ten.  When every cell has the first
-   cell's d > 0 fraction digits and no whitespace, one regex match over the
-   joined text checks them all and the keys are that text without its
-   points, split and read by ``int()``, with no padding and no partition per
-   cell.
-   Any other file goes to ``_padded_keys``, which pads cell by cell and
-   refuses padding that would outgrow the file (``int()`` is quadratic in a
-   key's length: one long fraction among many short ones) or pass the limit.
-3. ``poset._scale`` over each cell's ``_ratio``: ``p/q``, exponents, ``_``
-   beside a point, non-ASCII digits and long fractions.
+2. Every cell has the first cell's d > 0 fraction digits and is a plain
+   ASCII decimal, ``[-+]?[0-9]*\\.[0-9]{d}``, with no whitespace and no
+   longer than the digit limit: one regex match over the joined text checks
+   them all, and the keys are that text without its points, split and read
+   by ``int()``, at scale ``10**d``, tier 3's keys for such a file.
+3. ``poset._scale`` over each stripped cell's ``_ratio``: every other file,
+   mixed precision included (a plain decimal's ratio is its digits over
+   ``10**d``, so its key is its digits padded to the file's longest
+   fraction), ``p/q``, exponents, ``_`` beside a point, non-ASCII digits
+   and long fractions.
 
 A file the reader refuses (a field count, a number or an order) has a bad
 row.  The row pass, ``_row_error``, names the first one: it checks each row
@@ -60,6 +57,7 @@ import json
 import operator
 import re
 import sys
+from collections import Counter
 from fractions import Fraction
 from itertools import repeat
 from typing import Sequence
@@ -158,20 +156,6 @@ def _json(path):
         raise InputFormatError(f"{path}: invalid JSON: nested too deeply") from exc
 
 
-def _padded_keys(cells: list[str], size: int, limit: int) -> tuple[list[int], int]:
-    """Tier 2 of the module docstring for cells of mixed precision: the keys
-    and scale of stripped plain decimal ``cells`` from a text of ``size``
-    characters.  Raises ValueError for cells it does not read."""
-    if not all(map(_PLAIN.fullmatch, cells)) or (limit and max(map(len, cells)) > limit):
-        raise ValueError("not plain decimals")
-    parts = [cell.partition(".") for cell in cells]
-    digits = max([len(frac) for _, _, frac in parts])
-    if digits * len(parts) > size:  # padding would outgrow the file; see the docstring
-        raise ValueError("padding too long")
-    # int() still raises past the digit limit, where padding made a key too long.
-    return [int(whole + frac.ljust(digits, "0")) for whole, _, frac in parts], 10**digits
-
-
 def _columns(text: str, fields: int, limit: int) -> tuple[list[list[int]], int]:
     """The key columns and scale of a CSV text's ``fields``-field rows, read
     in one pass by the tiers of the module docstring.  Raises ValueError,
@@ -195,15 +179,9 @@ def _columns(text: str, fields: int, limit: int) -> tuple[list[list[int]], int]:
             keys, scale = list(map(int, joined.replace(".", "").split(","))), 10**digits
     del joined
     if keys is None:
-        cells = [*map(str.strip, cells)]
-        try:
-            keys, scale = _padded_keys(cells, len(text), limit)
-        except ValueError:
-            keys = None  # tier 3 runs outside the handler, whose traceback holds tier 2's lists
-        if keys is None:
-            ratios, cells = [_ratio(cell, limit) for cell in cells], None
-            keys, scale = _scale(ratios)
-            del ratios
+        ratios, cells = [_ratio(cell.strip(), limit) for cell in cells], None
+        keys, scale = _scale(ratios)
+        del ratios
     del cells
     columns = [keys[c::fields] for c in range(fields)]
     del keys
@@ -296,13 +274,10 @@ def _write_text(path, text: str) -> None:
         handle.write(text)
 
 
-def _write_json(path, obj) -> None:
-    # json.dumps runs the C encoder; json.dump always runs the Python one.
-    _write_text(path, json.dumps(obj) + "\n")
-
-
 def save_poset_json(path, poset: Poset) -> None:
-    _write_json(path, {"n": poset.n, "relations": [list(p) for p in poset.pairs()]})
+    relations = [list(p) for p in poset.pairs()]
+    # json.dumps runs the C encoder; json.dump always runs the Python one.
+    _write_text(path, json.dumps({"n": poset.n, "relations": relations}) + "\n")
 
 
 def save_forest_json(path, forest: HeapForest) -> None:
@@ -323,12 +298,12 @@ def save_forest_json(path, forest: HeapForest) -> None:
 def load_forest_json(path) -> HeapForest:
     """Inverse of save_forest_json.  Checks the shape of the file, that ids
     and k are integers with k >= 1 (child keys such as " 1" or "1_0", which
-    ``int`` would coerce, are rejected), and that no node is listed both as a
-    root and as a child; whether the forest is a valid partition of some poset
-    is left to ``verify_forest``."""
+    ``int`` would coerce, are rejected), and that no node is listed twice as a
+    root or both as a root and as a child; whether the forest is a valid
+    partition of some poset is left to ``verify_forest``."""
     data = _json(path)
     try:
-        parent: dict[int, int | None] = {_element_id(root): None for root in data["roots"]}
+        roots = [_element_id(root) for root in data["roots"]]
         # Object keys are always strings in JSON: each must read back as the id it names.
         children = {int(child): _element_id(par) for child, par in data["parent"].items()}
         if list(map(str, children)) != list(data["parent"]):
@@ -336,6 +311,10 @@ def load_forest_json(path) -> HeapForest:
         k = _check_arity(data["k"])
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise InputFormatError(f"{path}: malformed forest JSON") from exc
+    parent: dict[int, int | None] = dict.fromkeys(roots)
+    if len(parent) < len(roots):
+        twice = min(root for root, count in Counter(roots).items() if count > 1)
+        raise InputFormatError(f"{path}: node {twice} is listed as a root twice")
     both = sorted(parent.keys() & children.keys())
     if both:
         raise InputFormatError(f"{path}: node {both[0]} is listed as a root and as a child")

@@ -99,6 +99,8 @@ class Box:
     upper: tuple[Coord, Coord]
 
     def __post_init__(self):
+        if len(self.lower) != 2 or len(self.upper) != 2:
+            raise ValueError(f"box corners must be pairs: {self.lower} / {self.upper}")
         _check_finite(*self.lower, *self.upper)
         if self.lower[0] > self.upper[0] or self.lower[1] > self.upper[1]:
             raise ValueError(f"box corners out of order: {self.lower} / {self.upper}")
@@ -419,7 +421,7 @@ def _interval_boxes(items: Sequence[Interval], as_set: bool) -> tuple:
     n = len(lefts)
     ys = _key_array([*lefts, *rights])
     if as_set:
-        _check_distinct_points((rights, lefts), (rights, rights))
+        _check_distinct_points((lefts,), (rights,))
         xs = ys[n:]
     else:
         import numpy as np

@@ -381,6 +381,8 @@ class TestFormats:
     @example((2, "5,5.250\n"))  # one cell without a point
     @example((2, "0.125,1.250\n2.5000,3.125\n"))  # one cell with d + 1 digits
     @example((2, "0.5" + "0" * _LIMIT + ",0.6" + "0" * _LIMIT))  # uniform, past the digit limit
+    @example((2, " 1.5 , 7\n0.25,3.125 \n"))  # mixed precision, whitespace around cells
+    @example((2, "-9223372036854775809,0.5\n0.25,18446744073709551616\n"))  # mixed, ints past int64
     @settings(max_examples=300, deadline=None)
     def test_bulk_route_matches_per_row_route(self, file):
         # The reader, _columns, against the row pass, _row_error, and the
@@ -414,14 +416,12 @@ class TestFormats:
         coords = [value for item in got for value in _coords(item)]
         assert _typed_coords(*coords) == _typed_coords(*map(formats.parse_exact, cells))
 
-    def test_bulk_route_refuses_long_padding(self, tmp_path):
-        # One long fraction would pad every short cell to its length: tier 2
-        # refuses, and the file loads through tier 3's per-cell keys.
+    def test_long_fraction_among_short_cells_loads_with_tier_3_keys(self, tmp_path):
+        # One long fraction puts every short cell on its scale: tier 2's one
+        # pass refuses the mixed precision, and tier 3 keys each cell.
         text = "0." + "1" * 1000 + ",1\n" + "1.5,2.5\n" * 100
         cells = [cell for line in text.split() for cell in line.split(",")]
         limit = formats._digit_limit()
-        with pytest.raises(ValueError):
-            formats._padded_keys(cells, len(text), limit)
         keys, scale = _scale([formats._ratio(cell, limit) for cell in cells])
         path = tmp_path / "long.csv"
         path.write_text(text)
@@ -521,6 +521,14 @@ class TestFormats:
         path.write_text('{"k": 2, "roots": [0, 1], "parent": {"1": 0, "2": 0}}')
         with pytest.raises(formats.InputFormatError, match="node 1 is listed as a root"):
             formats.load_forest_json(path)
+
+    @pytest.mark.parametrize("roots, twice", [("[0, 0]", 0), ("[3, 0, 3, 0]", 0), ("[5, 2, 5]", 5)])
+    def test_forest_root_listed_twice_rejected(self, tmp_path, roots, twice):
+        path = tmp_path / "f.json"
+        path.write_text(f'{{"k": 2, "roots": {roots}, "parent": {{"1": 0}}}}')
+        with pytest.raises(formats.InputFormatError) as info:
+            formats.load_forest_json(path)
+        assert str(info.value) == f"{path}: node {twice} is listed as a root twice"
 
     def test_forest_parent_list_rejected(self, tmp_path):
         path = tmp_path / "f.json"

@@ -545,6 +545,14 @@ class TestNonFiniteCoordinates:
 
 
 class TestBoxPoset:
+    @pytest.mark.parametrize(
+        "lower, upper", [((0, 0, 5), (1, 1, 0)), ((0,), (1,)), ((0, 0), (1, 1, 1)), ((), ())])
+    def test_corners_must_be_pairs(self, lower, upper):
+        # A third coordinate would be dropped by every embedding; one would not index.
+        want = f"box corners must be pairs: {lower} / {upper}"
+        with pytest.raises(ValueError, match=re.escape(want)):
+            Box(lower, upper)
+
     def test_dominating_boxes(self):
         p = poset_from_box_set([Box((0, 0), (1, 1)), Box((2, 2), (3, 3))])
         assert p.pairs() == [(0, 1)]
