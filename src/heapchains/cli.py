@@ -22,6 +22,7 @@ from .flow import k_width
 from .greedy import (
     ATTACHED,
     NEW_CHAIN,
+    _set_chain_count,
     best_fit_trace,
     greedy_max_heapable_subset,
     greedy_partition_permutation,
@@ -163,8 +164,9 @@ def _cmd_crosscheck(args) -> int:
     rng = random.Random(args.seed)
     failures = []
 
-    def check(name, solve, build, instance, trial):
-        """Fail the trial unless ``solve`` matches flow's count with a valid witness forest."""
+    def check(name, solve, build, instance, trial, bound=None):
+        """Fail the trial unless ``solve`` matches flow's count with a valid
+        witness forest, and ``bound``, a count alone, if given, matches it too."""
         k = trial % 3 + 1
         try:
             poset = build(instance)
@@ -175,12 +177,18 @@ def _cmd_crosscheck(args) -> int:
             failures.append(f"{name} {got} != flow {want} (trial {trial}, k={k})")
         elif len(forest.roots) != got or not verify_forest(poset, forest, k):
             failures.append(f"{name} witness is not {got} valid chains (trial {trial}, k={k})")
+        if bound is not None and (count := bound(instance, k)) != want:
+            failures.append(f"{name} matching bound {count} != flow {want} (trial {trial}, k={k})")
+
+    def set_bound(items, k):
+        return _set_chain_count([i.left for i in items], [i.right for i in items], k)
 
     for trial in range(args.trials):
         items = _random_intervals(rng, rng.randint(1, 24))
         check("sequence greedy", greedy_partition_sequence, poset_from_interval_sequence,
               items, trial)
-        check("set greedy", greedy_partition_set, poset_from_interval_set, items, trial)
+        check("set greedy", greedy_partition_set, poset_from_interval_set, items, trial,
+              set_bound)
     print(f"greedy vs flow: {args.trials} trials")
 
     for trial in range(args.trials):

@@ -24,10 +24,12 @@ bound searched in sorted order, and each rank's unused lives; callers name
 items, never ranks.  Best fit compares only ints, and its cost does not
 depend on k.  Its one loop,
 ``_SlotPool.run``, serves the sweep (max-heapable adds ``reject``) and the
-particle process of ``heapchains.simulate``, which takes its float draws in
-``_set_order``.  A trace is a read-only sequence that reports slots by
-original coordinate and builds each step when it is read; an interval trace
-reads a loaded file's slots from its key column and builds no item.
+sequence-mode particle process of ``heapchains.simulate``; a set-mode trial
+needs only its count, which ``_set_chain_count`` reads from the matching
+bound over the draws in ``_set_order``.  A trace is a read-only sequence
+that reports slots by original coordinate and builds each step when it is
+read; an interval trace reads a loaded file's slots from its key column and
+builds no item.
 """
 
 from __future__ import annotations
@@ -124,6 +126,33 @@ def _order(keys: np.ndarray, *ties: np.ndarray) -> np.ndarray:
 def _set_order(lefts, rights) -> np.ndarray:
     """Item ids in interval-set order: right endpoint, then left, then id."""
     return _order(rights, lefts)
+
+
+def _set_chain_count(lefts, rights, k: int) -> int:
+    """The chain count of best fit over an interval set, given as two
+    arrays, without running it.
+
+    In set order, item i may be the parent of item j when right_i <= left_j.
+    Such an i comes before j, since right_i <= left_j <= right_j, so j's
+    possible parents are the first p[j] items: the items whose right is at
+    most left_j, capped at j so that of equal point intervals each later one
+    may attach only to earlier ones, as best fit does.  A forest of k-ary chains
+    is a matching of each child to one earlier possible parent, each parent
+    taking at most k children, and it has n - |matching| chains.  By Hall's
+    theorem (deficiency form, parents of capacity k) the fewest chains is the
+    largest |S| - k |N(S)| over sets S of items, N(S) their possible parents.
+    These neighbourhoods are nested prefixes, so for |N(S)| <= v the largest
+    S is {j : p[j] <= v}, and the count is the largest #{p[j] <= v} - k v
+    over v = 0..n.  Best fit is optimal, so this is its count too.
+    """
+    import numpy as np
+
+    lefts, rights = np.asarray(lefts), np.asarray(rights)
+    order = _set_order(lefts, rights)
+    n = len(order)
+    prefix = np.minimum(np.searchsorted(rights[order], lefts[order], side="right"), np.arange(n))
+    excess = np.cumsum(np.bincount(prefix, minlength=n + 1)) - k * np.arange(n + 1)
+    return int(excess.max())
 
 
 class _SlotPool:

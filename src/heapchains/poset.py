@@ -385,12 +385,26 @@ def _permutation_error(seq: list[int]) -> NotAPermutation:
     )
 
 
-def _check_distinct_points(low: tuple[Sequence, ...], high: tuple[Sequence, ...]) -> None:
-    """CycleError if two items are one point: low == high in every column, and equal."""
-    first: dict[tuple, int] = {}
-    for i, (lo, hi) in enumerate(zip(zip(*low), zip(*high))):
-        if lo == hi and first.setdefault(lo, i) != i:
-            raise CycleError(f"items {first[lo]} and {i} are one point and dominate each other")
+def _check_distinct_points(low: tuple, high: tuple) -> None:
+    """CycleError if two items are one point: low == high in every key array,
+    and equal.  It names the first item by id that repeats an earlier point,
+    and the first item at that point.  Only zero-extent items are compared:
+    each axis's keys among them are numbered 0, 1, ... (``np.unique``'s
+    inverse, on int64 and object keys alike) into one int64 key per item."""
+    import numpy as np
+
+    ids = np.flatnonzero(np.logical_and.reduce([lo == hi for lo, hi in zip(low, high)]))
+    m = len(ids)
+    key = np.zeros(m, dtype=np.int64)
+    for lo in low:
+        key = key * m + np.unique(lo[ids], return_inverse=True)[1]
+    order = np.argsort(key, kind="stable")
+    ranked = key[order]
+    repeats = order[1:][ranked[1:] == ranked[:-1]]
+    if len(repeats):
+        i = repeats.min()
+        first = order[np.searchsorted(ranked, key[i])]
+        raise CycleError(f"items {ids[first]} and {ids[i]} are one point and dominate each other")
 
 
 def _key_array(keys: Sequence[int]):
@@ -407,10 +421,11 @@ def _key_array(keys: Sequence[int]):
 def _box_arrays(low: tuple[Sequence[int], ...], high: tuple[Sequence[int], ...]):
     """Box key columns, shaped as ``_key_columns`` gives them, as four key arrays
     (lo_x, lo_y, hi_x, hi_y), after checking that no point repeats."""
-    _check_distinct_points(low, high)
     n = len(low[0])
     xs, ys = (_key_array([*lo, *hi]) for lo, hi in zip(low, high))
-    return xs[:n], ys[:n], xs[n:], ys[n:]
+    lows, highs = (xs[:n], ys[:n]), (xs[n:], ys[n:])
+    _check_distinct_points(lows, highs)
+    return *lows, *highs
 
 
 def _interval_boxes(items: Sequence[Interval], as_set: bool) -> tuple:
@@ -421,7 +436,7 @@ def _interval_boxes(items: Sequence[Interval], as_set: bool) -> tuple:
     n = len(lefts)
     ys = _key_array([*lefts, *rights])
     if as_set:
-        _check_distinct_points((lefts,), (rights,))
+        _check_distinct_points((ys[:n],), (ys[n:],))
         xs = ys[n:]
     else:
         import numpy as np

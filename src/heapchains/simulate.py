@@ -8,12 +8,14 @@ Live particles coincide with the greedy algorithm's open slots, so per-seed
 counts match ``greedy_partition_sequence`` exactly; sorting arrivals by
 (right, left) before feeding the process gives the set variant.
 
-Each trial runs the process as the best-fit loop of ``heapchains.greedy``
-(``_SlotPool.run``) on one slot pool per trial, with one slot owner per arrival:
-``_SlotPool`` ranks the raw float draws directly and exactly, and settles
-ties between equal particles.  Set mode only changes the order in which
-arrivals are taken; ``run_process`` reads the final particles back from the
-arrivals' floats.
+A sequence trial runs the process as the best-fit loop of
+``heapchains.greedy`` (``_SlotPool.run``) on one slot pool per trial, with
+one slot owner per arrival: ``_SlotPool`` ranks the raw float draws directly
+and exactly, and settles ties between equal particles; ``run_process`` reads
+the final particles back from the arrivals' floats.  A set trial needs only
+the count, and runs no process: ``greedy._set_chain_count`` reads it from the
+interval order's matching bound (Hall's theorem on the nested sets of
+possible parents) with a few numpy calls, equal to the process's count.
 
 Each trial derives its own generator from the root seed by a counter-based
 spawn, so trial order never affects results; ``_draws`` is the one rule
@@ -28,10 +30,11 @@ process's cgroup v2 CPU quota when it has one.  A call runs serially when w
 < 2, off Linux, inside a daemonic process (which may not have children),
 when any other Python thread is alive (a fork beside other threads can
 deadlock the child), or when it has fewer than ``_FORK_MIN_ARRIVALS``
-arrivals in all, where the fork costs more than it saves.  Results never
-depend on which path ran.  Each worker holds one trial at a time, so a
-forked call's memory is about w times one trial's.  An error in a worker's
-trial is raised again in the caller, a worker that dies raises
+arrivals in all, where the fork costs more than it saves; a set-mode
+arrival costs far less than a sequence-mode one, and counts as a quarter.
+Results never depend on which path ran.  Each worker holds one trial at a
+time, so a forked call's memory is about w times one trial's.  An error in a
+worker's trial is raised again in the caller, a worker that dies raises
 ``BrokenProcessPool``, and every worker has exited when the call returns or
 raises.
 """
@@ -47,7 +50,7 @@ import threading
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .greedy import _SlotPool, _set_order
+from .greedy import _SlotPool, _set_chain_count
 from .poset import Interval, _check_arity, _element_id
 
 if TYPE_CHECKING:
@@ -132,24 +135,31 @@ def normalized_count(count: float, n: int, k: int) -> float:
 
 
 def _trial_counts(config: SimConfig, first: int, step: int) -> list[int]:
-    """Chain counts of trials first, first + step, ..., each run on one pool of its draws."""
+    """Chain counts of trials first, first + step, ...: a sequence trial runs
+    the process on one pool of its draws, a set trial counts by the matching
+    bound."""
     counts = []
     for trial in range(first, config.trials, step):
         lefts, rights = _draws(trial_rng(config.seed, trial), config.n)
         if config.mode == MODE_SORTED_SET:
-            order = _set_order(lefts, rights)
-            lefts, rights = lefts[order], rights[order]
-        counts.append(_SlotPool(lefts, rights).run(range(config.n), config.k)[0])
+            counts.append(_set_chain_count(lefts, rights, config.k))
+        else:
+            counts.append(_SlotPool(lefts, rights).run(range(config.n), config.k)[0])
     return counts
 
 
 # Below this many arrivals (n x trials) a call runs serially.  Measured on a
 # 2-CPU host: a fork cycle (start, hand-back, join) costs about 10 ms in a
 # process that has forked before and about 30 ms more, mostly imports, in
-# one that has not; a trial costs 0.9-1.8 us per arrival at n = 25,000.
-# Forked calls broke even near 30,000 arrivals warm and between 50,000 and
-# 80,000 in a cold CLI call, in both modes.
+# one that has not.  A sequence trial costs 1.1-1.2 us per arrival at 100,000
+# arrivals in 4 trials, and forked sequence calls broke even near 30,000
+# arrivals warm and between 60,000 and 80,000 in a cold call.  A set trial
+# costs 0.17-0.24 us per arrival at 100,000-400,000 arrivals, and forked set
+# calls broke even between 100,000 and 200,000 arrivals warm and between
+# 250,000 and 300,000 cold, about four times further out: so that many
+# set-mode arrivals count as one.
 _FORK_MIN_ARRIVALS = 65_000
+_SET_ARRIVALS_PER_SEQ = 4
 # Where a process finds its cgroup v2 path, and the root that path is under.
 _CGROUP_FILES = ("/proc/self/cgroup", "/sys/fs/cgroup")
 
@@ -168,8 +178,12 @@ def _cpus() -> int:
 
 
 def _processes(config: SimConfig, min_arrivals: int) -> int:
-    """How many processes share the trials, the caller included; 1 runs them serially."""
-    if config.n * config.trials < min_arrivals:
+    """How many processes share the trials, the caller included; 1 runs them
+    serially.  ``min_arrivals`` counts sequence-mode arrivals."""
+    arrivals = config.n * config.trials
+    if config.mode == MODE_SORTED_SET:
+        arrivals //= _SET_ARRIVALS_PER_SEQ
+    if arrivals < min_arrivals:
         return 1
     if sys.platform != "linux" or threading.active_count() > 1:
         return 1  # forking beside another thread can copy a lock it holds

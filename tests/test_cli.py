@@ -26,6 +26,7 @@ from heapchains import (
     verify_forest,
 )
 from heapchains.cli import run
+from heapchains.greedy import _set_chain_count
 from heapchains.poset import (
     Box,
     CycleError,
@@ -749,6 +750,16 @@ class TestCliCommands:
             captured = capsys.readouterr()
             assert f"MISMATCH: {label} " in captured.err
             assert "all checks passed" not in captured.out
+
+    def test_crosscheck_reports_matching_bound_mismatch(self, capsys, monkeypatch):
+        monkeypatch.setattr(
+            "heapchains.cli._set_chain_count", lambda *args: _set_chain_count(*args) + 1)
+        assert run(["crosscheck", "--trials", "12", "--seed", "7"]) == 1
+        captured = capsys.readouterr()
+        pattern = r"MISMATCH: set greedy matching bound (\d+) != flow (\d+) \(trial \d+, k=[123]\)"
+        found = [re.fullmatch(pattern, line) for line in captured.err.splitlines()]
+        assert found and all(m and int(m[1]) == int(m[2]) + 1 for m in found)
+        assert "all checks passed" not in captured.out
 
     def test_crosscheck_reports_max_heapable_mismatch(self, capsys, monkeypatch):
         def drop_a_leaf(items, k):  # still one valid chain, one item short

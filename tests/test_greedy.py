@@ -42,7 +42,7 @@ from heapchains import (
     sweep_partition,
     verify_forest,
 )
-from heapchains.greedy import _order, _set_order, _SlotPool, _sweep
+from heapchains.greedy import _order, _set_chain_count, _set_order, _SlotPool, _sweep
 from heapchains.poset import _exact_keys
 from heapchains.simulate import _draws, trial_rng
 
@@ -1055,6 +1055,51 @@ class TestSetOrder:
                 lefts, rights).run(order, k)
             tied += len(set(map(tuple, pairs))) < n
         assert tied > 250
+
+
+def _pairings(points):
+    """Every way to pair up the given points, each pair as (smaller, larger)."""
+    if not points:
+        yield []
+        return
+    first, rest = points[0], points[1:]
+    for j, other in enumerate(rest):
+        for more in _pairings(rest[:j] + rest[j + 1:]):
+            yield [(first, other), *more]
+
+
+class TestSetChainCount:
+    """``_set_chain_count``, the matching bound over nested neighbourhoods,
+    against best fit and flow."""
+
+    def test_every_endpoint_pairing_up_to_five(self):
+        # 2n distinct endpoint ranks, so no point interval repeats.
+        seen = Counter()
+        for n in range(6):
+            for pairs in _pairings(list(range(2 * n))):
+                items = [Interval(a, b) for a, b in pairs]
+                lefts, rights = [a for a, _ in pairs], [b for _, b in pairs]
+                poset = poset_from_interval_set(items)
+                for k in (1, 2, 3):
+                    count = _set_chain_count(lefts, rights, k)
+                    assert count == greedy_partition_set(items, k)[0] == k_width(poset, k)[0]
+                seen[n] += 1
+        assert [seen[n] for n in range(6)] == [1, 1, 3, 15, 105, 945]
+
+    def test_equals_the_pool_in_set_order_on_tied_grids(self):
+        rng = random.Random(61)
+        repeated = 0
+        for _ in range(20_000):
+            n, grid, k = rng.randint(0, 12), rng.randint(0, 8), rng.randint(1, 3)
+            pairs = [sorted((rng.randint(0, grid), rng.randint(0, grid))) for _ in range(n)]
+            lefts = np.array([a for a, _ in pairs], dtype=np.int64)
+            rights = np.array([b for _, b in pairs], dtype=np.int64)
+            order = _set_order(lefts, rights)
+            want = _SlotPool(lefts[order], rights[order]).run(range(n), k)[0]
+            assert _set_chain_count(lefts, rights, k) == want, (pairs, k)
+            points = [a for a, b in pairs if a == b]
+            repeated += len(set(points)) < len(points)
+        assert repeated > 5_000
 
 
 class TestSlotPool:

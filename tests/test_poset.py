@@ -29,7 +29,7 @@ from heapchains import (
     sweep_partition,
     verify_forest,
 )
-from heapchains.poset import _box_poset, _interval_boxes
+from heapchains.poset import _box_arrays, _box_poset, _interval_boxes, _key_columns
 
 from conftest import S1_PAIRS, random_poset
 
@@ -489,6 +489,53 @@ class TestIntervalPosets:
             except CycleError:
                 continue
             assert got == _box_poset(*_interval_boxes(items, as_set=True)), items
+
+
+def _item_loop_repeat(low, high):
+    """The repeated-point message of the item-by-item check: the first item
+    by id whose point an earlier item already is, or None."""
+    first = {}
+    for i, (lo, hi) in enumerate(zip(zip(*low), zip(*high))):
+        if lo == hi and first.setdefault(lo, i) != i:
+            return f"items {first[lo]} and {i} are one point and dominate each other"
+    return None
+
+
+def _repeat_raised(embed, items):
+    try:
+        embed(items)
+    except CycleError as exc:
+        return str(exc)
+    return None
+
+
+class TestDistinctPoints:
+    def test_messages_match_the_item_loop_on_tied_draws(self):
+        # Every fourth draw puts its keys past int64 (object arrays).
+        rng = random.Random(71)
+        raised = huge = 0
+        for draw in range(20_000):
+            n, grid = rng.randint(0, 12), rng.randint(0, 4)
+            base = 2**64 if draw % 4 == 0 else 0
+            huge += bool(base and n)
+
+            def span():
+                a, b = sorted((rng.randint(0, grid), rng.randint(0, grid)))
+                return (base + a, base + a) if rng.random() < 0.4 else (base + a, base + b)
+
+            intervals = [Interval(*span()) for _ in range(n)]
+            boxes = []
+            for _ in range(n):
+                (x1, x2), (y1, y2) = span(), span()
+                boxes.append(Box((x1, y1), (x2, y2)))
+            for items, kind, embed in (
+                (intervals, Interval, lambda items: _interval_boxes(items, as_set=True)),
+                (boxes, Box, lambda items: _box_arrays(*_key_columns(items, Box))),
+            ):
+                want = _item_loop_repeat(*_key_columns(items, kind))
+                assert _repeat_raised(embed, items) == want, items
+                raised += want is not None
+        assert raised > 10_000 and huge > 4_000
 
 
 _NON_FINITE = [math.nan, math.inf, -math.inf] + [

@@ -115,6 +115,13 @@ class TestTiedEndpoints:
                     assert count == greedy_partition_set(items, k)[0]
 
 
+_PINNED_SET_COUNTS = {  # seed: the three trials' counts at k = 1, 2, 3
+    3: ((12527, 12449, 12562), (8282, 8347, 8522), (6216, 6261, 6525)),
+    29: ((12442, 12435, 12430), (8230, 8442, 8312), (6296, 6368, 6316)),
+    2026: ((12545, 12475, 12484), (8383, 8317, 8423), (6319, 6124, 6253)),
+}
+
+
 class TestEstimateScaling:
     def test_single_interval_mean_is_one(self):
         for mode in (MODE_SEQUENCE, MODE_SORTED_SET):
@@ -183,6 +190,14 @@ class TestEstimateScaling:
             assert row[:4] == [str(i), "50", "2", "set"]
             assert int(row[4]) == stats.counts[i]
             assert float(row[5]) == pytest.approx(stats.counts[i] / 50)
+
+    @pytest.mark.parametrize("seed", [3, 29, 2026])
+    def test_set_counts_pinned_at_n_25000(self, seed):
+        # Recorded from the particle process, before set trials were counted
+        # by the matching bound: the bound must give the same counts.
+        for k, counts in zip((1, 2, 3), _PINNED_SET_COUNTS[seed]):
+            config = SimConfig(n=25_000, k=k, trials=3, seed=seed, mode=MODE_SORTED_SET)
+            assert estimate_scaling(config).counts == counts
 
     def test_stats_type_fields(self):
         stats = estimate_scaling(SimConfig(n=10, k=1, trials=2, seed=0))
@@ -319,11 +334,17 @@ class TestParallelTrials:
         assert results == [_serial_counts(config)]
 
     def test_forks_only_from_the_arrival_threshold(self, monkeypatch, forks):
+        # Four set-mode arrivals count as one sequence-mode arrival.
         _allow_cpus(monkeypatch, 2, min_arrivals=100)
-        for n, trials, forked in ((49, 2, False), (50, 2, True), (33, 3, False), (34, 3, True)):
-            config = SimConfig(n=n, k=2, trials=trials, seed=n)
+        for n, trials, mode, forked in (
+            (49, 2, MODE_SEQUENCE, False), (50, 2, MODE_SEQUENCE, True),
+            (33, 3, MODE_SEQUENCE, False), (34, 3, MODE_SEQUENCE, True),
+            (199, 2, MODE_SORTED_SET, False), (200, 2, MODE_SORTED_SET, True),
+            (133, 3, MODE_SORTED_SET, False), (134, 3, MODE_SORTED_SET, True),
+        ):
+            config = SimConfig(n=n, k=2, trials=trials, seed=n, mode=mode)
             assert estimate_scaling(config).counts == _serial_counts(config)
-            assert forks == (["fork"] if forked else []), (n, trials)
+            assert forks == (["fork"] if forked else []), (n, trials, mode)
             forks.clear()
 
     def test_small_calls_stay_serial_by_default(self, monkeypatch, forks):
