@@ -47,6 +47,7 @@ from .poset import (
     Box,
     CycleError,
     ElementMismatch,
+    FrozenRecordError,
     HeapForest,
     IdOutOfRange,
     Interval,
@@ -79,6 +80,7 @@ __all__ = [
     "Box",
     "CycleError",
     "ElementMismatch",
+    "FrozenRecordError",
     "HeapForest",
     "IdOutOfRange",
     "IncompatibleChoice",

@@ -18,16 +18,14 @@ ids everywhere keep the result deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .poset import HeapForest, Poset, _check_arity, verify_forest
+from .poset import HeapForest, Poset, _check_arity, _record, verify_forest
 
 
 class InvalidMatching(ValueError):
     """An edge set violates the left-k / right-1 degree constraints."""
 
 
-@dataclass(frozen=True)
+@_record
 class SplitGraph:
     """Bipartite split graph of a poset, capacities folded into the nodes.
 
@@ -44,7 +42,7 @@ class SplitGraph:
         return sum(mask.bit_count() for mask in self.succ)
 
 
-@dataclass(frozen=True)
+@_record
 class LeftKMatching:
     """Chosen (x, y) edges with out-degree <= k per x and in-degree <= 1 per y."""
 

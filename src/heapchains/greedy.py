@@ -35,12 +35,11 @@ builds no item.
 from __future__ import annotations
 
 from bisect import bisect_right, insort
-from dataclasses import dataclass
 from itertools import repeat
 from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence
 
 from .poset import Coord, HeapForest, Interval, _check_arity, _exact_value, _interval_boxes
-from .poset import _KeyedItems, _LazySequence, _permutation_points
+from .poset import _KeyedItems, _LazySequence, _permutation_points, _record
 
 if TYPE_CHECKING:
     import numpy as np
@@ -54,7 +53,7 @@ class IncompatibleChoice(ValueError):
     """ChooseSlot named a slot that is absent or too high for the interval."""
 
 
-@dataclass(frozen=True)
+@_record
 class TraceStep:
     """One greedy decision: which item, what happened, which slot it consumed."""
 

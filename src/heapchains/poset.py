@@ -22,6 +22,11 @@ the int64 blocks in which its kernel compares them: O(n^2) work per axis,
 about 10 ms for an interval set of 2,100 items on one Xeon core.  The sweep
 hands the keys to its pool unranked.
 A poset read from relations never touches numpy.
+
+``Interval``, ``Box`` and ``HeapForest``, and the records of the other
+modules, are frozen classes built by ``_record`` from their annotated
+fields: what ``@dataclass(frozen=True)`` gave them, without importing
+``dataclasses`` (and with it ``inspect``) on every CLI call.
 """
 
 from __future__ import annotations
@@ -32,7 +37,6 @@ import math
 import numbers
 import operator
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
@@ -56,6 +60,59 @@ class ElementMismatch(ValueError):
     """A forest does not cover exactly the poset's elements."""
 
 
+class FrozenRecordError(AttributeError):
+    """An attribute of a record (``Interval``, ``HeapForest``, ...) was set or deleted."""
+
+
+def _frozen_setattr(self, name, value):
+    raise FrozenRecordError(f"cannot assign to field {name!r}")
+
+
+def _frozen_delattr(self, name):
+    raise FrozenRecordError(f"cannot delete field {name!r}")
+
+
+def _record(cls: type) -> type:
+    """Make ``cls`` a frozen record of its annotated fields, in order.
+
+    It gains what ``@dataclass(frozen=True)`` would give it: ``__init__``
+    (by position or keyword, with the class body's values as defaults, then
+    ``__post_init__`` when the class defines one); ``__eq__`` on the field
+    tuples of two instances of one class; ``__hash__`` and ``__repr__`` of
+    the field values; ``__match_args__``; and FrozenRecordError on setting or
+    deleting any attribute.  The first four are compiled from one source per
+    class, as ``dataclasses`` compiles them.  Fields live in the instance
+    ``__dict__``, so ``pickle`` and ``copy`` work unchanged.
+    """
+    names = tuple(cls.__annotations__)
+    params = "".join(
+        f", {name}=_defaults[{name!r}]" if name in cls.__dict__ else f", {name}" for name in names
+    )
+    sets = "".join(f"\n    _set(self, {name!r}, {name})" for name in names)
+    if "__post_init__" in cls.__dict__:
+        sets += "\n    self.__post_init__()"
+    mine = "".join(f"self.{name}," for name in names)
+    theirs = "".join(f"other.{name}," for name in names)
+    shown = ", ".join(f"{name}={{self.{name}!r}}" for name in names)
+    source = (
+        f"def __init__(self{params}):{sets}\n"
+        "def __eq__(self, other):\n"
+        f"    if other.__class__ is self.__class__:\n        return ({mine}) == ({theirs})\n"
+        "    return NotImplemented\n"
+        f"def __hash__(self):\n    return hash(({mine}))\n"
+        f"def __repr__(self):\n    return f'{{self.__class__.__qualname__}}({shown})'\n"
+    )
+    namespace = {"_set": object.__setattr__, "_defaults": cls.__dict__}
+    exec(source, namespace)
+    for name in ("__init__", "__eq__", "__hash__", "__repr__"):
+        method = namespace[name]
+        method.__qualname__ = f"{cls.__qualname__}.{name}"
+        setattr(cls, name, method)
+    cls.__setattr__, cls.__delattr__ = _frozen_setattr, _frozen_delattr
+    cls.__match_args__ = names
+    return cls
+
+
 def _check_finite(*coords: Coord) -> None:
     # Exact coordinates skip the test (int and Fraction by a fast type check).
     # np.isfinite judges a numpy longdouble too large for a float; it is
@@ -72,7 +129,7 @@ def _check_finite(*coords: Coord) -> None:
         raise ValueError(f"coordinate must be finite, got {c!r}")
 
 
-@dataclass(frozen=True)
+@_record
 class Interval:
     """Closed interval [left, right] with left <= right; NaN and ±inf are rejected."""
 
@@ -91,7 +148,7 @@ class Interval:
             raise ValueError(f"interval endpoints out of order: [{left}, {right}]")
 
 
-@dataclass(frozen=True)
+@_record
 class Box:
     """Axis-parallel box given by its lower and upper corners; NaN and ±inf are rejected."""
 
@@ -352,18 +409,24 @@ def _key_columns(items: Sequence, kind: type) -> tuple[tuple[list[int], ...], ..
     each: ((left,), (right,)) for intervals, ((lower x, lower y), (upper x,
     upper y)) for boxes.  An axis's low and high columns share one scale.
     Items loaded from a file (a ``_KeyedItems`` of ``kind``) hand over their
-    own columns; any other sequence has its coordinates read and keyed by
-    ``_exact_keys``, one call per axis."""
+    own columns; any other sequence has its coordinates read per axis.  An
+    axis of plain ints (type exactly ``int``) is its own keys; any other
+    axis is keyed by one ``_exact_keys`` call over its low and high values."""
     if isinstance(items, _KeyedItems) and items._kind is kind:
         half = len(items._columns) // 2
         return items._columns[:half], items._columns[half:]
-    n = len(items)
     if kind is Interval:
         axes = [([item.left for item in items], [item.right for item in items])]
     else:
         axes = [([box.lower[a] for box in items], [box.upper[a] for box in items]) for a in (0, 1)]
-    keys = [_exact_keys(low + high) for low, high in axes]
-    return tuple(k[:n] for k in keys), tuple(k[n:] for k in keys)
+    lows, highs = [], []
+    for low, high in axes:
+        if {*map(type, low)} != {int} or {*map(type, high)} != {int}:
+            keys = _exact_keys(low + high)
+            low, high = keys[:len(low)], keys[len(low):]
+        lows.append(low)
+        highs.append(high)
+    return tuple(lows), tuple(highs)
 
 
 def _permutation_error(seq: list[int]) -> NotAPermutation:
@@ -510,7 +573,7 @@ def poset_from_box_set(items: Sequence[Box]) -> Poset:
     return _box_poset(*_box_arrays(*_key_columns(items, Box)))
 
 
-@dataclass(frozen=True)
+@_record
 class HeapForest:
     """Partition of elements into rooted trees with at most k children per node.
 

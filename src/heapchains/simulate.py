@@ -47,11 +47,10 @@ import os
 import statistics
 import sys
 import threading
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .greedy import _SlotPool, _set_chain_count
-from .poset import Interval, _check_arity, _element_id
+from .poset import Interval, _check_arity, _element_id, _record
 
 if TYPE_CHECKING:
     import numpy as np
@@ -61,8 +60,10 @@ MODE_SORTED_SET = "set"
 _MODES = (MODE_SEQUENCE, MODE_SORTED_SET)
 
 
-@dataclass(frozen=True)
+@_record
 class SimConfig:
+    """A simulation: ``trials`` seeded trials of n arrivals each, at arity k, in ``mode``."""
+
     n: int
     k: int
     trials: int
@@ -84,8 +85,11 @@ class SimConfig:
             object.__setattr__(self, name, value)  # frozen: keep the plain ints
 
 
-@dataclass(frozen=True)
+@_record
 class SimStats:
+    """Per-trial chain counts, their mean, the mean normalized by ``normalized_count``,
+    and the standard error of the mean."""
+
     counts: tuple[int, ...]
     mean: float
     normalized: float

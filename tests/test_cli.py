@@ -996,6 +996,16 @@ class TestImportFootprint:
         )
         assert _fresh_python(code).strip() == "[]"
 
+    def test_cli_import_loads_no_dataclasses_or_inspect(self):
+        # The records are built by poset._record: dataclasses would load
+        # inspect, ast, dis and tokenize on every CLI call.  site may preload
+        # modules of its own, so only what the import adds is compared.
+        code = (
+            "import sys; before = set(sys.modules); import heapchains.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))"
+        )
+        assert _fresh_python(code).strip() == "[]"
+
     def test_numpy_loads_only_at_first_numpy_backed_call(self, tmp_path, s1_csv):
         # numpy's import is most of a cold CLI call; the poset-JSON path,
         # the poset oracles and --help never need it.

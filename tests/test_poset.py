@@ -1,8 +1,12 @@
 import bisect
+import copy
 import math
+import pickle
 import random
 import re
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Mapping, Optional
 
 import numpy as np
 import pytest
@@ -10,13 +14,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heapchains import (
+    MODE_SEQUENCE,
     Box,
     CycleError,
     ElementMismatch,
+    FrozenRecordError,
     HeapForest,
     IdOutOfRange,
     Interval,
+    LeftKMatching,
     NotAPermutation,
+    SimConfig,
+    SimStats,
+    SplitGraph,
+    TraceStep,
     greedy_max_heapable_subset,
     greedy_partition_permutation,
     greedy_partition_set,
@@ -29,7 +40,18 @@ from heapchains import (
     sweep_partition,
     verify_forest,
 )
-from heapchains.poset import _box_arrays, _box_poset, _interval_boxes, _key_columns
+from heapchains.poset import (
+    Coord,
+    _box_arrays,
+    _box_poset,
+    _check_arity,
+    _check_finite,
+    _element_id,
+    _exact_keys,
+    _interval_boxes,
+    _key_columns,
+)
+from heapchains.simulate import _MODES
 
 from conftest import S1_PAIRS, random_poset
 
@@ -652,3 +674,243 @@ class TestVerifyForest:
 
 def test_s1_fixture_matches_expected_pairs(s1_items):
     assert [(it.left, it.right) for it in s1_items] == S1_PAIRS
+
+
+# The eight records as they were defined with dataclasses.  poset._record
+# builds them now; these definitions are the reference they must match.
+def _dataclass_records():
+    @dataclass(frozen=True)
+    class Interval:
+        left: Coord
+        right: Coord
+
+        def __post_init__(self):
+            left, right = self.left, self.right
+            if type(left) is Fraction and type(right) is Fraction:
+                out_of_order = (left.numerator * right.denominator
+                                > right.numerator * left.denominator)
+            else:
+                _check_finite(left, right)
+                out_of_order = left > right
+            if out_of_order:
+                raise ValueError(f"interval endpoints out of order: [{left}, {right}]")
+
+    @dataclass(frozen=True)
+    class Box:
+        lower: tuple[Coord, Coord]
+        upper: tuple[Coord, Coord]
+
+        def __post_init__(self):
+            if len(self.lower) != 2 or len(self.upper) != 2:
+                raise ValueError(f"box corners must be pairs: {self.lower} / {self.upper}")
+            _check_finite(*self.lower, *self.upper)
+            if self.lower[0] > self.upper[0] or self.lower[1] > self.upper[1]:
+                raise ValueError(f"box corners out of order: {self.lower} / {self.upper}")
+
+    @dataclass(frozen=True)
+    class HeapForest:
+        k: int
+        parent: Mapping[int, Optional[int]]
+
+    @dataclass(frozen=True)
+    class SplitGraph:
+        n: int
+        k: int
+        succ: tuple[int, ...]
+
+    @dataclass(frozen=True)
+    class LeftKMatching:
+        k: int
+        edges: frozenset[tuple[int, int]]
+
+    @dataclass(frozen=True)
+    class TraceStep:
+        item: int
+        kind: str
+        parent: Optional[int] = None
+        slot: Optional[Coord] = None
+
+    @dataclass(frozen=True)
+    class SimConfig:
+        n: int
+        k: int
+        trials: int
+        seed: int
+        mode: str = MODE_SEQUENCE
+
+        def __post_init__(self):
+            k = _check_arity(self.k)
+            n, trials, seed = (_element_id(v) for v in (self.n, self.trials, self.seed))
+            if n < 0:
+                raise ValueError(f"n must be >= 0, got {n}")
+            if trials < 1:
+                raise ValueError(f"trials must be >= 1, got {trials}")
+            if seed < 0:
+                raise ValueError(f"seed must be >= 0, got {seed}")
+            if self.mode not in _MODES:
+                raise ValueError(f"mode must be one of {_MODES}, got {self.mode!r}")
+            for name, value in (("n", n), ("k", k), ("trials", trials), ("seed", seed)):
+                object.__setattr__(self, name, value)
+
+    @dataclass(frozen=True)
+    class SimStats:
+        counts: tuple[int, ...]
+        mean: float
+        normalized: float
+        stderr: float
+
+    classes = [Interval, Box, HeapForest, SplitGraph, LeftKMatching, TraceStep, SimConfig,
+               SimStats]
+    for cls in classes:
+        cls.__qualname__ = cls.__name__  # the name repr prints
+    return {cls.__name__: cls for cls in classes}
+
+
+_REFERENCE = _dataclass_records()
+_RECORDS = {cls.__name__: cls for cls in (Interval, Box, HeapForest, SplitGraph, LeftKMatching,
+                                          TraceStep, SimConfig, SimStats)}
+
+_ints = st.integers(-3, 3) | st.integers()
+# No NaN: dataclasses compare fields one by one from Python 3.13 on, so a
+# shared NaN field makes records equal before 3.13 and unequal after.
+_coords = _ints | st.fractions(max_denominator=12) | st.floats(width=16, allow_nan=False)
+_optional_ids = st.none() | st.integers(0, 5)
+_np_ints = st.integers(-3, 2**31 - 1).map(np.int64) | st.integers(-3, 9).map(np.int8)
+_sim_ints = _ints | _np_ints | st.booleans() | st.just(2.0)
+_FIELD_STRATEGIES = {
+    "Interval": [_coords, _coords],
+    "Box": [st.tuples(_coords, _coords) | st.lists(_coords, max_size=3).map(tuple)] * 2,
+    "HeapForest": [_ints, st.dictionaries(st.integers(0, 5), _optional_ids, max_size=4)],
+    "SplitGraph": [_ints, _ints, st.lists(st.integers(0, 63), max_size=4).map(tuple)],
+    "LeftKMatching": [_ints, st.frozensets(st.tuples(st.integers(0, 5), st.integers(0, 5)))],
+    "TraceStep": [st.integers(0, 5), st.sampled_from(["new_chain", "attached", "rejected"]),
+                  _optional_ids, st.none() | _coords],
+    "SimConfig": [_sim_ints] * 4 + [st.sampled_from(["seq", "set", "neither"])],
+    "SimStats": [st.lists(_ints, max_size=3).map(tuple)] + [st.floats(allow_nan=False)] * 3,
+}
+
+
+def _outcome(call, *args):
+    """call(*args), or the type and text of the error it raised."""
+    try:
+        return call(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+class TestRecordsMatchDataclasses:
+    @pytest.mark.parametrize("name", sorted(_RECORDS))
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_same_behaviour_as_the_dataclass(self, name, data):
+        cls, ref = _RECORDS[name], _REFERENCE[name]
+        names = ref.__match_args__
+        assert cls.__match_args__ == names
+        draws = _FIELD_STRATEGIES[name]
+        a, b = (tuple(data.draw(s) for s in draws) for _ in range(2))
+        if data.draw(st.booleans()):
+            b = a[:-1] + b[-1:]  # often differ in one field only
+        got_a, want_a = _outcome(cls, *a), _outcome(ref, *a)
+        got_b, want_b = _outcome(cls, *b), _outcome(ref, *b)
+        if isinstance(want_a, tuple):
+            assert got_a == want_a
+            return
+        assert not isinstance(got_a, tuple), got_a
+        fields = [getattr(want_a, f) for f in names]
+        assert [getattr(got_a, f) for f in names] == fields
+        assert [type(getattr(got_a, f)) for f in names] == [type(v) for v in fields]
+        assert _outcome(cls, *fields) == got_a  # normalized fields rebuild the same record
+        assert cls(**dict(zip(names, a))) == got_a
+        assert repr(got_a) == repr(want_a)
+        assert _outcome(hash, got_a) == _outcome(hash, want_a)
+        assert got_a == got_a and not got_a != got_a
+        assert got_a != want_a and not got_a == want_a  # no equality across classes
+        assert got_a != fields and got_a != tuple(fields)
+        if not isinstance(want_b, tuple):
+            assert (got_a == got_b) == (want_a == want_b)
+            assert (got_a != got_b) == (want_a != want_b)
+        for attr in (*names, "other"):
+            with pytest.raises(FrozenRecordError):
+                setattr(got_a, attr, 0)
+            with pytest.raises(FrozenRecordError):
+                delattr(got_a, attr)
+        for twin in (pickle.loads(pickle.dumps(got_a)), copy.copy(got_a), copy.deepcopy(got_a)):
+            assert type(twin) is cls and twin == got_a
+
+    def test_defaults_and_keywords(self):
+        assert TraceStep(0, "new_chain").parent is None
+        assert TraceStep(0, "new_chain").slot is None
+        assert TraceStep(kind="attached", item=1, slot=Fraction(1, 2)) == TraceStep(
+            1, "attached", None, Fraction(1, 2))
+        assert SimConfig(n=1, k=1, trials=1, seed=0).mode == MODE_SEQUENCE
+        with pytest.raises(TypeError):
+            Interval(1)
+        with pytest.raises(TypeError):
+            Interval(1, 2, right=3)
+
+    def test_plain_ints_from_numpy_ints(self):
+        config = SimConfig(np.int64(5), np.int32(2), np.uint8(3), np.int16(7), "set")
+        assert [type(v) for v in (config.n, config.k, config.trials, config.seed)] == [int] * 4
+        assert config == SimConfig(5, 2, 3, 7, "set")
+        assert hash(config) == hash(SimConfig(5, 2, 3, 7, "set"))
+
+    def test_frozen_error_is_an_attribute_error(self):
+        with pytest.raises(AttributeError, match="cannot assign to field 'left'"):
+            Interval(1, 2).left = 0
+        assert Interval(1, 2) != (1, 2) and not Interval(1, 2) == (1, 2)
+        match Interval(1, 2):
+            case Interval(left, right):
+                assert (left, right) == (1, 2)
+
+
+def _reference_key_columns(items, kind):
+    """``_key_columns`` as it keyed in-memory items before plain-int axes
+    were handed over as they are."""
+    n = len(items)
+    if kind is Interval:
+        axes = [([item.left for item in items], [item.right for item in items])]
+    else:
+        axes = [([box.lower[a] for box in items], [box.upper[a] for box in items]) for a in (0, 1)]
+    keys = [_exact_keys(low + high) for low, high in axes]
+    return tuple(k[:n] for k in keys), tuple(k[n:] for k in keys)
+
+
+def _mixed_value(rng, kinds):
+    kind = rng.choice(kinds)
+    if kind == "int":
+        return rng.randint(-20, 20)
+    if kind == "huge":
+        return rng.choice([-1, 1]) * (2**63 + rng.randint(0, 2**66))
+    if kind == "fraction":
+        return Fraction(rng.randint(-60, 60), rng.randint(1, 7))
+    if kind == "float":
+        return rng.randint(-80, 80) / 4
+    return rng.choice([np.int64, np.int32, np.uint8])(rng.randint(0, 20))
+
+
+def _ordered_pair(rng, kinds):
+    pair = sorted((_mixed_value(rng, kinds) for _ in range(2)), key=Fraction)
+    if any(type(v) is int and abs(v) >= 2**63 for v in pair):
+        pair = [int(v) for v in pair]  # numpy ints are not compared with ints past int64
+    return pair
+
+
+class TestKeyColumns:
+    def test_keys_match_the_concatenating_reference(self):
+        rng = random.Random(29)
+        all_kinds = ["int", "huge", "fraction", "float", "numpy"]
+        for trial in range(600):
+            kinds = rng.sample(all_kinds, rng.randint(1, len(all_kinds)))
+            if trial % 3 == 0:
+                kinds = ["int"]
+            n = rng.randint(0, 12)
+            intervals = [Interval(*_ordered_pair(rng, kinds)) for _ in range(n)]
+            # Each box axis draws from its own mix, so plain-int and mixed axes meet.
+            x_kinds = ["int"] if rng.random() < 0.5 else kinds
+            boxes = [Box(*zip(_ordered_pair(rng, x_kinds), _ordered_pair(rng, kinds)))
+                     for _ in range(n)]
+            for items, kind in ((intervals, Interval), (boxes, Box)):
+                got, want = _key_columns(items, kind), _reference_key_columns(items, kind)
+                as_lists = [[list(column) for column in half] for half in got]
+                assert as_lists == [[list(column) for column in half] for half in want], items
+                assert {type(key) for half in got for column in half for key in column} <= {int}
