@@ -143,15 +143,21 @@ def _set_chain_count(lefts, rights, k: int) -> int:
     These neighbourhoods are nested prefixes, so for |N(S)| <= v the largest
     S is {j : p[j] <= v}, and the count is the largest #{p[j] <= v} - k v
     over v = 0..n.  Best fit is optimal, so this is its count too.
+
+    The cap binds only for a point interval j, whose p[j] is then j, so for
+    v < n, #{p[j] <= v} is the number of non-point lefts below the v-th
+    right in set order plus the number of points among the first v + 1
+    items.  v = n is left out: its excess n - k n is at most 0, and since
+    p[0] = 0 the excess at v = 0 is at least 1 unless there are no items.
     """
     import numpy as np
 
     lefts, rights = np.asarray(lefts), np.asarray(rights)
     order = _set_order(lefts, rights)
-    n = len(order)
-    prefix = np.minimum(np.searchsorted(rights[order], lefts[order], side="right"), np.arange(n))
-    excess = np.cumsum(np.bincount(prefix, minlength=n + 1)) - k * np.arange(n + 1)
-    return int(excess.max())
+    lefts, rights = lefts[order], rights[order]
+    point = lefts >= rights
+    below = np.searchsorted(np.sort(lefts[~point]), rights, side="left") + np.cumsum(point)
+    return int((below - k * np.arange(len(order))).max(initial=0))
 
 
 class _SlotPool:

@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import random
@@ -33,6 +34,7 @@ from heapchains.poset import (
     HeapForest,
     IdOutOfRange,
     Interval,
+    Poset,
     _scale,
     poset_from_relations,
 )
@@ -172,6 +174,42 @@ def _typed_coords(*values):
 
 def _coords(item):
     return [item.left, item.right] if isinstance(item, Interval) else [*item.lower, *item.upper]
+
+
+def _reference_load_poset_json(path):
+    """The loader before the flat route, kept as the reference: one
+    ``json.loads`` of the whole text, then the pairs as parsed."""
+    text = Path(path).read_text(encoding="utf-8")
+    try:
+        data = json.loads(text)
+    except ValueError as exc:
+        raise formats.InputFormatError(f"{path}: invalid JSON: {exc}") from exc
+    try:
+        return poset_from_relations(data["n"], data["relations"])
+    except (CycleError, IdOutOfRange):
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise formats.InputFormatError(
+            f"{path}: expected {{'n': int, 'relations': [[i, j], ...]}}: {exc}"
+        ) from exc
+
+
+def _outcome(load, path):
+    """A loader's Poset, or the type and message of what it raised."""
+    try:
+        return load(path)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def _relation_files(draw):
+    """n and a list of pairs: mostly i < j below n, so most load; some ids
+    are out of range, equal or past 2**64."""
+    n = draw(st.integers(0, 12))
+    ids = st.integers(0, max(n - 1, 0)) | st.integers(0, 2**70)
+    pairs = draw(st.lists(st.tuples(ids, ids).map(sorted), max_size=30))
+    return n, pairs
 
 
 class TestFormats:
@@ -318,15 +356,19 @@ class TestFormats:
              ": not UTF-8"),
             (formats.load_poset_json, b"[" * 100_000 + b"]" * 100_000, ": invalid JSON"),
             (formats.load_forest_json, b'{"k": ' + b"[" * 100_000, ": invalid JSON"),
+            (formats.load_forest_json, b'{"k": 1, "roots": [' + b"1" * 5000 + b'], "parent": {}}',
+             ": invalid JSON: Exceeds the limit"),
         ],
         ids=["intervals-1/0", "boxes-1/0", "intervals-utf8", "boxes-utf8", "permutation-utf8",
-             "poset-utf8", "forest-utf8", "poset-nested", "forest-nested"],
+             "poset-utf8", "forest-utf8", "poset-nested", "forest-nested",
+             "forest-id-5000-digits"],
     )
     def test_unreadable_file_names_file(self, tmp_path, load, data, where):
         path = tmp_path / "bad"
         path.write_bytes(data)
-        with pytest.raises(formats.InputFormatError, match=re.escape(f"{path}{where}")):
+        with pytest.raises(formats.InputFormatError) as info:
             load(path)
+        assert str(info.value).startswith(f"{path}{where}")
 
     @pytest.mark.parametrize(
         "load, data, where",
@@ -602,6 +644,92 @@ class TestFormats:
         assert list(data["parent"]) == sorted(data["parent"], key=int)
 
 
+class TestPosetJsonFlatRoute:
+    """``load_poset_json`` reads the text ``json.dumps`` writes as one flat
+    list of ints; every value and error must be the reference loader's."""
+
+    @given(_relation_files())
+    @example((0, []))
+    @example((3, [[0, 1], [1, 2]]))
+    @settings(max_examples=200, deadline=None)
+    def test_dumped_files_load_as_reference(self, drawn):
+        n, pairs = drawn
+        with tempfile.TemporaryDirectory() as tmp:
+            dumped = Path(tmp, "dumped.json")
+            dumped.write_text(json.dumps({"n": n, "relations": pairs}))
+            assert formats._flat_ids(dumped.read_text()) is not None
+            want = _outcome(_reference_load_poset_json, dumped)
+            assert _outcome(formats.load_poset_json, dumped) == want
+            if isinstance(want, Poset):
+                saved = Path(tmp, "saved.json")
+                formats.save_poset_json(saved, want)
+                assert formats._flat_ids(saved.read_text()) is not None
+                assert formats.load_poset_json(saved) == want
+
+    @pytest.mark.parametrize("text, flat", [
+        ('{"n": 3, "relations": [[01, 2]]}', False),
+        ('{"n": 03, "relations": [[0, 2]]}', False),
+        ('{"n": 3, "relations": [[, 2]]}', False),
+        ('{"n": 4, "relations": [[1 2, 3]]}', False),
+        ('{"n": 3, "relations": [[0, 1, 2]]}', False),
+        ('{"n": 3, "relations": [[0, 1],[1, 2]]}', False),
+        ('{"n": 3, "relations": [[0, \u0661]]}', False),
+        ('{"n": 3, "relations": []}', True),
+        ('{"n": 0, "relations": []}', True),
+        (' \r\n{"n": 3, "relations": [[0, 2]]}\n\t', True),
+        ('\x0c{"n": 3, "relations": [[0, 2]]}', False),
+        ('{"n": 3, "relations": [[0, 2]]}\xa0', False),
+        ('{"n": 3, "relations": [[-1, 2]]}', False),
+        ('{"n": 3, "relations": [[0, 3]]}', True),
+        ('{"n": 3, "relations": [[1, 1]]}', True),
+        ('{"n": 3, "relations": [[0, 1], [1, 2], [2, 0]]}', True),
+        ('{"n":3,"relations":[[0,1],[1,2]]}', False),
+        (json.dumps({"n": 3, "relations": [[0, 1], [1, 2]]}, indent=1), False),
+        ('{"n": 3, "relations": [[0, 1]], "x": 1}', False),
+        ('{"x": 1, "n": 3, "relations": [[0, 1]]}', False),
+        ('{"n": 3, "relations": [[0, 1]], "relations": [[2, 1]]}', False),
+        ('\ufeff{"n": 3, "relations": [[0, 1]]}', False),
+        ('{"n": 100000000000000000000, "relations": [[0, 1]]}', True),
+        ('{"n": 3, "relations": [[0, ' + "1" * 5000 + ']]}', False),
+        ('{"n": ' + "1" * 5000 + ', "relations": []}', False),
+        ('{"n": 3, "relations": [[0, 1.0]]}', False),
+        ('{"n": 3.0, "relations": []}', False),
+        ('{"n": 3, "relations": [[true, 1]]}', False),
+    ], ids=["leading-zero", "n-leading-zero", "empty-slot", "two-in-a-slot", "three-ids",
+            "compact-pair-separator", "non-ascii-digit", "no-relations", "n-0", "whitespace",
+            "form-feed-before", "nbsp-after", "negative-id", "id-n", "self-loop", "cycle", "compact", "indent-1", "extra-key",
+            "leading-key", "duplicate-relations", "bom", "huge-n", "id-5000-digits",
+            "n-5000-digits", "float-id", "float-n", "true-id"])
+    def test_near_canonical_text_loads_as_reference(self, tmp_path, text, flat):
+        path = tmp_path / "p.json"
+        path.write_text(text, encoding="utf-8")
+        assert (formats._flat_ids(text) is not None) == flat
+        assert _outcome(formats.load_poset_json, path) == _outcome(
+            _reference_load_poset_json, path)
+
+    def test_dumped_file_sets_off_no_collection(self, tmp_path):
+        # One list per relation would set off a young collection every few
+        # hundred relations; the flat route builds none.
+        pairs = [[i, j] for i in range(201) for j in range(i + 1, 201)][:20_000]
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps({"n": 201, "relations": pairs}) + "\n")
+        del pairs
+        young = []
+
+        def count(phase, info):
+            if phase == "start" and info["generation"] == 0:
+                young.append(info)
+
+        gc.collect()
+        gc.callbacks.append(count)
+        try:
+            poset = formats.load_poset_json(path)
+        finally:
+            gc.callbacks.remove(count)
+        assert poset.less(0, 200)
+        assert len(young) <= 1
+
+
 class TestCliCommands:
     def test_intervals_seq_s1(self, capsys, s1_csv):
         assert run(["intervals-seq", "--k", "2", "--input", s1_csv]) == 0
@@ -866,8 +994,10 @@ class TestCliErrors:
             (["intervals-seq", "--trace", "--k", "1", "--input"], "iv.csv", b"0,1e5000\n"),
             (["kwidth", "--k", "1", "--poset"], "p.json",
              b'{"n": 100000000000000000000, "relations": []}'),
+            (["kwidth", "--k", "1", "--poset"], "p.json",
+             b'{"n": 3, "relations": [[0, ' + b"1" * 5000 + b"]]}"),
         ],
-        ids=["exponent", "poset-n"],
+        ids=["exponent", "poset-n", "poset-id-5000-digits"],
     )
     def test_huge_number_exit_2(self, capsys, tmp_path, argv, name, data):
         path = tmp_path / name
