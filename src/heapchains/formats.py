@@ -41,11 +41,10 @@ row.  The row pass, ``_row_error``, names the first one: it checks each row
 (field count, numbers, then order) before the next, with the message the
 item's constructor gives.
 
-A poset JSON text exactly as ``json.dumps`` writes it (``save_poset_json``
-does) is read as one flat list of ints, ``_flat_ids``: a list per relation
-would set off garbage collections on every wide poset.  Any other text, and
-one the flat parse refuses, goes to ``json.loads`` whole, so values and
-errors are the same on either route.
+The poset loader pauses the garbage collector (if it is on) while it
+parses and builds: ``json.loads`` makes one list per relation, and on a
+wide poset those set off dozens of collections, most of them over objects
+that die at the end of the load.
 
 The permutation loader reads every line with ``int()`` at once, and runs
 the line-by-line loop, which names the first bad line, only when that
@@ -89,7 +88,6 @@ _EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)  # Fraction'
 _PLAIN = re.compile(r"[-+]?[0-9]*\.?[0-9]+")  # a plain ASCII number, read without Fraction
 # Comma-joined plain decimals, each with exactly d fraction digits: format with (d, d).
 _UNIFORM = r"[-+]?[0-9]*\.[0-9]{%d}(?:,[-+]?[0-9]*\.[0-9]{%d})*"
-_NO_DIGITS = str.maketrans("", "", "0123456789")
 
 
 class InputFormatError(ValueError):
@@ -154,33 +152,14 @@ def _lines(text: str) -> list[tuple[int, str]]:
     ]
 
 
-def _json(path, text: str | None = None):
-    if text is None:
-        text = _read_text(path)  # outside the try: its InputFormatError is a ValueError
+def _json(path):
+    text = _read_text(path)  # outside the try: its InputFormatError is a ValueError
     try:
         return json.loads(text)
     except ValueError as exc:  # JSONDecodeError, or an integer past the digit limit
         raise InputFormatError(f"{path}: invalid JSON: {exc}") from exc
     except RecursionError as exc:
         raise InputFormatError(f"{path}: invalid JSON: nested too deeply") from exc
-
-
-def _flat_ids(text: str) -> list[int] | None:
-    """[n, i0, j0, i1, j1, ...] of a text exactly as ``json.dumps`` writes
-    {"n": n, "relations": [[i0, j0], ...]}, by one ``json.loads``; None for any
-    other text and one that refuses (a leading zero, an empty slot, a long int)."""
-    frame = re.fullmatch(r'[ \t\n\r]*\{"n": ([0-9]+), "relations": \[(.*)\]\}[ \t\n\r]*', text)
-    if not frame:
-        return None
-    relations = frame[2]
-    shape = relations.translate(_NO_DIGITS)
-    if shape != ", ".join(["[, ]"] * ((len(shape) + 2) // 6)):
-        return None
-    ids = relations.replace("[", "").replace("]", "")
-    try:
-        return json.loads(f"[{frame[1]}, {ids}]" if ids else f"[{frame[1]}]")
-    except ValueError:
-        return None
 
 
 def _columns(text: str, fields: int, limit: int) -> tuple[list[list[int]], int]:
@@ -282,25 +261,27 @@ def load_poset_json(path) -> Poset:
     ``n`` and the ids must be JSON integers.  Shape and type errors raise
     InputFormatError; CycleError and IdOutOfRange keep their types.  The
     pairs go to ``poset_from_relations`` as parsed, which checks them in the
-    same pass that builds the masks.  A text as ``json.dumps`` writes it is
-    read as one flat list of ints (module docstring) and its pairs zipped
-    from it: no list per relation, so no garbage collection.
+    same pass that builds the masks, with the collector paused (module
+    docstring).
     """
-    text = _read_text(path)
-    ids = _flat_ids(text)
-    if ids is None:
-        data = _json(path, text)
-    else:  # zip reuses its tuple: no container per pair
-        ids = iter(ids)
-        data = {"n": next(ids), "relations": zip(ids, ids)}
+    import gc
+
+    collecting = gc.isenabled()
+    if collecting:
+        gc.disable()
     try:
-        return poset_from_relations(data["n"], data["relations"])
-    except (CycleError, IdOutOfRange):
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputFormatError(
-            f"{path}: expected {{'n': int, 'relations': [[i, j], ...]}}: {exc}"
-        ) from exc
+        data = _json(path)
+        try:
+            return poset_from_relations(data["n"], data["relations"])
+        except (CycleError, IdOutOfRange):
+            raise
+        except (KeyError, TypeError, ValueError) as exc:
+            raise InputFormatError(
+                f"{path}: expected {{'n': int, 'relations': [[i, j], ...]}}: {exc}"
+            ) from exc
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def _write_text(path, text: str) -> None:

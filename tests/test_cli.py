@@ -177,7 +177,7 @@ def _coords(item):
 
 
 def _reference_load_poset_json(path):
-    """The loader before the flat route, kept as the reference: one
+    """The loader without the collector pause, kept as the reference: one
     ``json.loads`` of the whole text, then the pairs as parsed."""
     text = Path(path).read_text(encoding="utf-8")
     try:
@@ -644,9 +644,9 @@ class TestFormats:
         assert list(data["parent"]) == sorted(data["parent"], key=int)
 
 
-class TestPosetJsonFlatRoute:
-    """``load_poset_json`` reads the text ``json.dumps`` writes as one flat
-    list of ints; every value and error must be the reference loader's."""
+class TestPosetJsonLoad:
+    """``load_poset_json`` parses with the collector paused; every value and
+    error must be the reference loader's."""
 
     @given(_relation_files())
     @example((0, []))
@@ -657,59 +657,62 @@ class TestPosetJsonFlatRoute:
         with tempfile.TemporaryDirectory() as tmp:
             dumped = Path(tmp, "dumped.json")
             dumped.write_text(json.dumps({"n": n, "relations": pairs}))
-            assert formats._flat_ids(dumped.read_text()) is not None
             want = _outcome(_reference_load_poset_json, dumped)
             assert _outcome(formats.load_poset_json, dumped) == want
             if isinstance(want, Poset):
                 saved = Path(tmp, "saved.json")
                 formats.save_poset_json(saved, want)
-                assert formats._flat_ids(saved.read_text()) is not None
                 assert formats.load_poset_json(saved) == want
 
-    @pytest.mark.parametrize("text, flat", [
-        ('{"n": 3, "relations": [[01, 2]]}', False),
-        ('{"n": 03, "relations": [[0, 2]]}', False),
-        ('{"n": 3, "relations": [[, 2]]}', False),
-        ('{"n": 4, "relations": [[1 2, 3]]}', False),
-        ('{"n": 3, "relations": [[0, 1, 2]]}', False),
-        ('{"n": 3, "relations": [[0, 1],[1, 2]]}', False),
-        ('{"n": 3, "relations": [[0, \u0661]]}', False),
-        ('{"n": 3, "relations": []}', True),
-        ('{"n": 0, "relations": []}', True),
-        (' \r\n{"n": 3, "relations": [[0, 2]]}\n\t', True),
-        ('\x0c{"n": 3, "relations": [[0, 2]]}', False),
-        ('{"n": 3, "relations": [[0, 2]]}\xa0', False),
-        ('{"n": 3, "relations": [[-1, 2]]}', False),
-        ('{"n": 3, "relations": [[0, 3]]}', True),
-        ('{"n": 3, "relations": [[1, 1]]}', True),
-        ('{"n": 3, "relations": [[0, 1], [1, 2], [2, 0]]}', True),
-        ('{"n":3,"relations":[[0,1],[1,2]]}', False),
-        (json.dumps({"n": 3, "relations": [[0, 1], [1, 2]]}, indent=1), False),
-        ('{"n": 3, "relations": [[0, 1]], "x": 1}', False),
-        ('{"x": 1, "n": 3, "relations": [[0, 1]]}', False),
-        ('{"n": 3, "relations": [[0, 1]], "relations": [[2, 1]]}', False),
-        ('\ufeff{"n": 3, "relations": [[0, 1]]}', False),
-        ('{"n": 100000000000000000000, "relations": [[0, 1]]}', True),
-        ('{"n": 3, "relations": [[0, ' + "1" * 5000 + ']]}', False),
-        ('{"n": ' + "1" * 5000 + ', "relations": []}', False),
-        ('{"n": 3, "relations": [[0, 1.0]]}', False),
-        ('{"n": 3.0, "relations": []}', False),
-        ('{"n": 3, "relations": [[true, 1]]}', False),
+    @pytest.mark.parametrize("text", [
+        '{"n": 3, "relations": [[01, 2]]}',
+        '{"n": 03, "relations": [[0, 2]]}',
+        '{"n": 3, "relations": [[, 2]]}',
+        '{"n": 4, "relations": [[1 2, 3]]}',
+        '{"n": 3, "relations": [[0, 1, 2]]}',
+        '{"n": 30, "relations": [[1, 2]3]}',
+        '{"n": 30, "relations": [[1, 2]3, [4, 5]]}',
+        '{"n": 30, "relations": [[0, 1], 2[3, 4]]}',
+        '{"n": 60, "relations": [5[1, 2]]}',
+        '{"n": 3, "relations": [[0, 1],[1, 2]]}',
+        '{"n": 3, "relations": [[0, \u0661]]}',
+        '{"n": 3, "relations": []}',
+        '{"n": 0, "relations": []}',
+        ' \r\n{"n": 3, "relations": [[0, 2]]}\n\t',
+        '\x0c{"n": 3, "relations": [[0, 2]]}',
+        '{"n": 3, "relations": [[0, 2]]}\xa0',
+        '{"n": 3, "relations": [[-1, 2]]}',
+        '{"n": 3, "relations": [[0, 3]]}',
+        '{"n": 3, "relations": [[1, 1]]}',
+        '{"n": 3, "relations": [[0, 1], [1, 2], [2, 0]]}',
+        '{"n":3,"relations":[[0,1],[1,2]]}',
+        json.dumps({"n": 3, "relations": [[0, 1], [1, 2]]}, indent=1),
+        '{"n": 3, "relations": [[0, 1]], "x": 1}',
+        '{"x": 1, "n": 3, "relations": [[0, 1]]}',
+        '{"n": 3, "relations": [[0, 1]], "relations": [[2, 1]]}',
+        '\ufeff{"n": 3, "relations": [[0, 1]]}',
+        '{"n": 100000000000000000000, "relations": [[0, 1]]}',
+        '{"n": 3, "relations": [[0, ' + "1" * 5000 + ']]}',
+        '{"n": ' + "1" * 5000 + ', "relations": []}',
+        '{"n": 3, "relations": [[0, 1.0]]}',
+        '{"n": 3.0, "relations": []}',
+        '{"n": 3, "relations": [[true, 1]]}',
     ], ids=["leading-zero", "n-leading-zero", "empty-slot", "two-in-a-slot", "three-ids",
-            "compact-pair-separator", "non-ascii-digit", "no-relations", "n-0", "whitespace",
-            "form-feed-before", "nbsp-after", "negative-id", "id-n", "self-loop", "cycle", "compact", "indent-1", "extra-key",
+            "digit-after-last-pair", "digit-after-pair", "digit-before-pair",
+            "digit-before-only-pair", "compact-pair-separator", "non-ascii-digit",
+            "no-relations", "n-0", "whitespace", "form-feed-before", "nbsp-after",
+            "negative-id", "id-n", "self-loop", "cycle", "compact", "indent-1", "extra-key",
             "leading-key", "duplicate-relations", "bom", "huge-n", "id-5000-digits",
             "n-5000-digits", "float-id", "float-n", "true-id"])
-    def test_near_canonical_text_loads_as_reference(self, tmp_path, text, flat):
+    def test_near_canonical_text_loads_as_reference(self, tmp_path, text):
         path = tmp_path / "p.json"
         path.write_text(text, encoding="utf-8")
-        assert (formats._flat_ids(text) is not None) == flat
         assert _outcome(formats.load_poset_json, path) == _outcome(
             _reference_load_poset_json, path)
 
     def test_dumped_file_sets_off_no_collection(self, tmp_path):
         # One list per relation would set off a young collection every few
-        # hundred relations; the flat route builds none.
+        # hundred relations; the loader pauses the collector instead.
         pairs = [[i, j] for i in range(201) for j in range(i + 1, 201)][:20_000]
         path = tmp_path / "p.json"
         path.write_text(json.dumps({"n": 201, "relations": pairs}) + "\n")
@@ -728,6 +731,18 @@ class TestPosetJsonFlatRoute:
             gc.callbacks.remove(count)
         assert poset.less(0, 200)
         assert len(young) <= 1
+
+    @pytest.mark.parametrize("text", ['{"n": 2, "relations": [[0, 1]]}', '{"n": 2}'])
+    def test_collector_state_is_restored(self, tmp_path, text):
+        path = tmp_path / "p.json"
+        path.write_text(text)
+        for collecting in (True, False):
+            (gc.enable if collecting else gc.disable)()
+            try:
+                _outcome(formats.load_poset_json, path)
+                assert gc.isenabled() == collecting
+            finally:
+                gc.enable()
 
 
 class TestCliCommands:
