@@ -149,6 +149,7 @@ def _set_chain_count(lefts, rights, k: int) -> int:
     right in set order plus the number of points among the first v + 1
     items.  v = n is left out: its excess n - k n is at most 0, and since
     p[0] = 0 the excess at v = 0 is at least 1 unless there are no items.
+    For the same reason any k >= n counts as k = n, which keeps k v in int64.
     """
     import numpy as np
 
@@ -157,7 +158,7 @@ def _set_chain_count(lefts, rights, k: int) -> int:
     lefts, rights = lefts[order], rights[order]
     point = lefts >= rights
     below = np.searchsorted(np.sort(lefts[~point]), rights, side="left") + np.cumsum(point)
-    return int((below - k * np.arange(len(order))).max(initial=0))
+    return int((below - min(k, len(order)) * np.arange(len(order))).max(initial=0))
 
 
 class _SlotPool:

@@ -10,17 +10,17 @@ Every exact coordinate becomes an order-isomorphic integer key once, by one
 step that scales exact ratios p/q to a common denominator (``_scale``).
 Items built in memory reach it through ``_exact_keys``.  A CSV file is
 loaded as a ``_KeyedItems``: key columns on the file's one scale, whose
-``Interval`` or ``Box`` objects are built only when read.  ``_key_columns``
-hands either route's keys on.  Every geometric family is a box set:
-``_box_arrays`` turns box key columns into four key arrays, and
-``_interval_boxes`` and ``_permutation_points`` embed the other families
-(see ``heapchains.greedy``).  The one sweep and the one dominance builder,
-``_box_poset``, take those arrays.  The builder takes any number of axes
-(an interval set needs one, right_i <= left_j) and numbers each axis's keys
-0, 1, ... (``np.unique``'s inverse, on int64 and object keys alike) to fit
-the int64 blocks in which its kernel compares them: O(n^2) work per axis,
-about 10 ms for an interval set of 2,100 items on one Xeon core.  The sweep
-hands the keys to its pool unranked.
+``Interval`` or ``Box`` objects are built only when read.  ``_axis_keys``
+hands either route's keys on, one array per axis (lows, then highs).  Every
+geometric family is a box set: ``_box_arrays`` turns boxes into four key
+arrays, and ``_interval_boxes`` and ``_permutation_points`` embed the
+other families (see ``heapchains.greedy``).  The one sweep and the one
+dominance builder, ``_box_poset``, take those arrays.  The builder takes
+any number of axes (an interval set needs one, right_i <= left_j) and
+numbers each axis's keys 0, 1, ... (``np.unique``'s inverse, on int64 and
+object keys alike) to fit the int64 blocks in which its kernel compares
+them: O(n^2) work per axis, about 10 ms for an interval set of 2,100 items
+on one Xeon core.  The sweep hands the keys to its pool unranked.
 A poset read from relations never touches numpy.
 
 ``Interval``, ``Box`` and ``HeapForest``, and the records of the other
@@ -115,18 +115,21 @@ def _record(cls: type) -> type:
 
 def _check_finite(*coords: Coord) -> None:
     # Exact coordinates skip the test (int and Fraction by a fast type check).
+    # A Decimal judges itself: as a float, 1e400 is infinite and sNaN raises.
     # np.isfinite judges a numpy longdouble too large for a float; it is
     # imported only for a value math.isfinite rejects that is not a plain
     # float, so the common path runs no import statement.
     for c in coords:
-        if type(c) in (int, Fraction) or isinstance(c, numbers.Rational) or math.isfinite(c):
+        if type(c) in (int, Fraction) or isinstance(c, numbers.Rational):
             continue
-        if type(c) is not float:
+        if type(c) is not float and hasattr(c, "is_finite"):
+            finite = c.is_finite()
+        elif not (finite := math.isfinite(c)) and type(c) is not float:
             import numpy as np
 
-            if np.isfinite(c):
-                continue
-        raise ValueError(f"coordinate must be finite, got {c!r}")
+            finite = np.isfinite(c)
+        if not finite:
+            raise ValueError(f"coordinate must be finite, got {c!r}")
 
 
 @_record
@@ -404,29 +407,21 @@ class _KeyedItems(_LazySequence):
         return _row_item(self._kind, [_exact_value(key, self._scale) for key in keys])
 
 
-def _key_columns(items: Sequence, kind: type) -> tuple[tuple[list[int], ...], ...]:
-    """Exact int keys of the items' low and high coordinates, one column
-    each: ((left,), (right,)) for intervals, ((lower x, lower y), (upper x,
-    upper y)) for boxes.  An axis's low and high columns share one scale.
+def _axis_keys(items: Sequence, kind: type) -> list:
+    """Exact int keys of the items, one ``_key_array`` per axis (one for
+    intervals, x then y for boxes): the lows, then the highs, on one scale.
     Items loaded from a file (a ``_KeyedItems`` of ``kind``) hand over their
-    own columns; any other sequence has its coordinates read per axis.  An
-    axis of plain ints (type exactly ``int``) is its own keys; any other
-    axis is keyed by one ``_exact_keys`` call over its low and high values."""
+    columns, for any number of axes; any other sequence has each axis keyed
+    by one ``_exact_keys`` call."""
     if isinstance(items, _KeyedItems) and items._kind is kind:
-        half = len(items._columns) // 2
-        return items._columns[:half], items._columns[half:]
-    if kind is Interval:
-        axes = [([item.left for item in items], [item.right for item in items])]
+        d = len(items._columns) // 2
+        axes = [[*lo, *hi] for lo, hi in zip(items._columns[:d], items._columns[d:])]
+    elif kind is Interval:
+        axes = [_exact_keys([item.left for item in items] + [item.right for item in items])]
     else:
-        axes = [([box.lower[a] for box in items], [box.upper[a] for box in items]) for a in (0, 1)]
-    lows, highs = [], []
-    for low, high in axes:
-        if {*map(type, low)} != {int} or {*map(type, high)} != {int}:
-            keys = _exact_keys(low + high)
-            low, high = keys[:len(low)], keys[len(low):]
-        lows.append(low)
-        highs.append(high)
-    return tuple(lows), tuple(highs)
+        axes = [_exact_keys([box.lower[a] for box in items] + [box.upper[a] for box in items])
+                for a in (0, 1)]
+    return [_key_array(axis) for axis in axes]
 
 
 def _permutation_error(seq: list[int]) -> NotAPermutation:
@@ -448,19 +443,21 @@ def _permutation_error(seq: list[int]) -> NotAPermutation:
     )
 
 
-def _check_distinct_points(low: tuple, high: tuple) -> None:
-    """CycleError if two items are one point: low == high in every key array,
-    and equal.  It names the first item by id that repeats an earlier point,
-    and the first item at that point.  Only zero-extent items are compared:
-    each axis's keys among them are numbered 0, 1, ... (``np.unique``'s
-    inverse, on int64 and object keys alike) into one int64 key per item."""
+def _check_distinct_points(*axes) -> None:
+    """CycleError if two items are one point: low == high on every axis (as
+    ``_axis_keys`` gives them), and equal.  It names the first item by id
+    that repeats an earlier point, and the first item at that point.  Only
+    zero-extent items are compared: each axis's keys among them are numbered
+    0, 1, ... (``np.unique``'s inverse, on int64 and object keys alike) into
+    one int64 key per item."""
     import numpy as np
 
-    ids = np.flatnonzero(np.logical_and.reduce([lo == hi for lo, hi in zip(low, high)]))
+    n = len(axes[0]) // 2
+    ids = np.flatnonzero(np.logical_and.reduce([axis[:n] == axis[n:] for axis in axes]))
     m = len(ids)
     key = np.zeros(m, dtype=np.int64)
-    for lo in low:
-        key = key * m + np.unique(lo[ids], return_inverse=True)[1]
+    for axis in axes:
+        key = key * m + np.unique(axis[ids], return_inverse=True)[1]
     order = np.argsort(key, kind="stable")
     ranked = key[order]
     repeats = order[1:][ranked[1:] == ranked[:-1]]
@@ -481,25 +478,23 @@ def _key_array(keys: Sequence[int]):
         return np.array(keys, dtype=object)
 
 
-def _box_arrays(low: tuple[Sequence[int], ...], high: tuple[Sequence[int], ...]):
-    """Box key columns, shaped as ``_key_columns`` gives them, as four key arrays
-    (lo_x, lo_y, hi_x, hi_y), after checking that no point repeats."""
-    n = len(low[0])
-    xs, ys = (_key_array([*lo, *hi]) for lo, hi in zip(low, high))
-    lows, highs = (xs[:n], ys[:n]), (xs[n:], ys[n:])
-    _check_distinct_points(lows, highs)
-    return *lows, *highs
+def _box_arrays(items: Sequence[Box]):
+    """Boxes as four key arrays (lo_x, lo_y, hi_x, hi_y), after checking
+    that no point repeats."""
+    xs, ys = _axis_keys(items, Box)
+    _check_distinct_points(xs, ys)
+    n = len(items)
+    return xs[:n], ys[:n], xs[n:], ys[n:]
 
 
 def _interval_boxes(items: Sequence[Interval], as_set: bool) -> tuple:
     """Intervals as box key arrays: item i of a sequence is (i, left)-(i, right),
     an item of a set the zero-width (right, left)-(right, right), whose x
     bounds are both the one right-key array."""
-    (lefts,), (rights,) = _key_columns(items, Interval)
-    n = len(lefts)
-    ys = _key_array([*lefts, *rights])
+    (ys,) = _axis_keys(items, Interval)
+    n = len(items)
     if as_set:
-        _check_distinct_points((ys[:n],), (ys[n:],))
+        _check_distinct_points(ys)
         xs = ys[n:]
     else:
         import numpy as np
@@ -570,7 +565,7 @@ def poset_from_interval_sequence(items: Sequence[Interval]) -> Poset:
 
 def poset_from_box_set(items: Sequence[Box]) -> Poset:
     """Box dominance: componentwise upper(i) <= lower(j)."""
-    return _box_poset(*_box_arrays(*_key_columns(items, Box)))
+    return _box_poset(*_box_arrays(items))
 
 
 @_record

@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .greedy import _sweep
-from .poset import Box, HeapForest, _box_arrays, _check_arity, _key_columns
+from .poset import Box, HeapForest, _box_arrays, _check_arity
 
 
 def sweep_partition(boxes: Sequence[Box], k: int) -> tuple[int, HeapForest]:
@@ -20,4 +20,4 @@ def sweep_partition(boxes: Sequence[Box], k: int) -> tuple[int, HeapForest]:
     over the original box ids.  Two boxes that are one point raise CycleError.
     """
     k = _check_arity(k)
-    return _sweep(*_box_arrays(*_key_columns(boxes, Box)), k)[:2]
+    return _sweep(*_box_arrays(boxes), k)[:2]

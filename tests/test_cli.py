@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from heapchains import (
     SimConfig,
+    cli,
     estimate_scaling,
     formats,
     greedy_max_heapable_subset,
@@ -928,6 +929,28 @@ class TestCliCommands:
         err = capsys.readouterr().err
         assert "MISMATCH: max-heapable witness is not one valid chain" in err
         assert "!=" not in err
+
+    def test_crosscheck_skips_repeated_points(self, capsys, monkeypatch):
+        # Every other draw gains two equal point intervals, which have no
+        # order: each family skips those trials and checks the rest.
+        draws, oracle_calls = [], []
+        real_draw, real_oracle = cli._random_intervals, cli.oracle_max_heapable
+
+        def with_repeats(rng, n):
+            draws.append(real_draw(rng, n))
+            return draws[-1] + [Interval(1, 1)] * 2 if len(draws) % 2 else draws[-1]
+
+        def counted_oracle(items, k):
+            oracle_calls.append(items)
+            return real_oracle(items, k)
+
+        monkeypatch.setattr(cli, "_random_intervals", with_repeats)
+        monkeypatch.setattr(cli, "oracle_max_heapable", counted_oracle)
+        assert run(["crosscheck", "--trials", "12", "--seed", "7"]) == 0
+        captured = capsys.readouterr()
+        assert "max-heapable vs oracle: 12 trials" in captured.out
+        assert "all checks passed" in captured.out and "MISMATCH" not in captured.err
+        assert len(draws) == 24 and oracle_calls == draws[13::2]
 
     def test_crosscheck_checks_forked_trials(self, capsys, monkeypatch):
         # With two CPUs a worker runs the odd trials; giving only the forked

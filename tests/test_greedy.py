@@ -928,6 +928,13 @@ class TestLazyTrace:
             TraceStep(1, NEW_CHAIN),
         )
 
+    def test_repr_shows_the_steps(self):
+        _, _, trace = greedy_partition_set([Interval(0, 1), Interval(1, 2)], 1)
+        assert repr(trace) == (
+            "_Trace((TraceStep(item=0, kind='new_chain', parent=None, slot=None), "
+            "TraceStep(item=1, kind='attached', parent=0, slot=1)))")
+        assert repr(trace[1:]) == f"_Trace(({trace[1]!r},))"
+
 
 class TestLoadedItems:
     """The CSV loaders return a read-only sequence of key columns that builds
@@ -956,6 +963,9 @@ class TestLoadedItems:
             loaded[0] = items[1]
         with pytest.raises(TypeError):
             hash(loaded)
+        assert repr(loaded[1:3]) == (
+            "_KeyedItems([Interval(left=-2, right=Fraction(7, 3)), "
+            "Interval(left=1000, right=10000)])")
         empty = tmp_path / "empty.csv"
         empty.write_text("\n")
         assert formats.load_intervals_csv(empty) == [] and formats.load_boxes_csv(empty) == []

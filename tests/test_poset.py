@@ -5,6 +5,7 @@ import pickle
 import random
 import re
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from typing import Mapping, Optional
 
@@ -42,6 +43,7 @@ from heapchains import (
 )
 from heapchains.poset import (
     Coord,
+    _axis_keys,
     _box_arrays,
     _box_poset,
     _check_arity,
@@ -49,7 +51,7 @@ from heapchains.poset import (
     _element_id,
     _exact_keys,
     _interval_boxes,
-    _key_columns,
+    _KeyedItems,
 )
 from heapchains.simulate import _MODES
 
@@ -552,9 +554,9 @@ class TestDistinctPoints:
                 boxes.append(Box((x1, y1), (x2, y2)))
             for items, kind, embed in (
                 (intervals, Interval, lambda items: _interval_boxes(items, as_set=True)),
-                (boxes, Box, lambda items: _box_arrays(*_key_columns(items, Box))),
+                (boxes, Box, _box_arrays),
             ):
-                want = _item_loop_repeat(*_key_columns(items, kind))
+                want = _item_loop_repeat(*_reference_key_columns(items, kind))
                 assert _repeat_raised(embed, items) == want, items
                 raised += want is not None
         assert raised > 10_000 and huge > 4_000
@@ -564,7 +566,7 @@ _NON_FINITE = [math.nan, math.inf, -math.inf] + [
     pytest.param(t(v), id=f"{t.__name__}-{v}")
     for t in (np.float32, np.float16, np.longdouble)
     for v in ("nan", "inf", "-inf")
-]
+] + [pytest.param(Decimal(v), id=f"Decimal-{v}") for v in ("NaN", "sNaN", "Infinity", "-Infinity")]
 
 
 class TestNonFiniteCoordinates:
@@ -611,6 +613,16 @@ class TestNonFiniteCoordinates:
         if np.finfo(np.longdouble).maxexp > 1024:
             # Finite, though too large for a float.
             assert Interval(0, np.longdouble("1e400")).left == 0
+
+    def test_decimal_past_float_range_solves(self):
+        # Judged as a Decimal, not as a float (where 1e400 is infinite).
+        items = [Interval(Decimal(a), Decimal(b))
+                 for a, b in [("-1e400", "1e400"), ("1e400", "1e401"), ("2e401", "3e401")]]
+        count, forest, trace = greedy_partition_set(items, 1)
+        assert (count, forest) == greedy_partition_set(
+            [Interval(-1, 1), Interval(1, 10), Interval(20, 30)], 1)[:2]
+        assert count == k_width(poset_from_interval_set(items), 1)[0] == 1
+        assert [step.slot for step in trace] == [None, Decimal("1e400"), Decimal("1e401")]
 
 
 class TestBoxPoset:
@@ -864,8 +876,9 @@ class TestRecordsMatchDataclasses:
 
 
 def _reference_key_columns(items, kind):
-    """``_key_columns`` as it keyed in-memory items before plain-int axes
-    were handed over as they are."""
+    """Exact keys of in-memory items as (lows, highs), one column per field:
+    each axis keyed by one ``_exact_keys`` call over its lows and highs,
+    then split, as the keys were built before they came one array per axis."""
     n = len(items)
     if kind is Interval:
         axes = [([item.left for item in items], [item.right for item in items])]
@@ -910,7 +923,19 @@ class TestKeyColumns:
             boxes = [Box(*zip(_ordered_pair(rng, x_kinds), _ordered_pair(rng, kinds)))
                      for _ in range(n)]
             for items, kind in ((intervals, Interval), (boxes, Box)):
-                got, want = _key_columns(items, kind), _reference_key_columns(items, kind)
-                as_lists = [[list(column) for column in half] for half in got]
-                assert as_lists == [[list(column) for column in half] for half in want], items
-                assert {type(key) for half in got for column in half for key in column} <= {int}
+                got = [axis.tolist() for axis in _axis_keys(items, kind)]
+                lows, highs = _reference_key_columns(items, kind)
+                assert got == [[*lo, *hi] for lo, hi in zip(lows, highs)], items
+                assert {type(key) for axis in got for key in axis} <= {int}
+
+    def test_loaded_columns_are_the_axes(self):
+        # A file's columns, lows then highs, for any number of axes.
+        three = _KeyedItems(Box, [[0, 1], [2, 3], [4, 5], [6, 7], [8, 9], [10, 11]], 1)
+        assert [axis.tolist() for axis in _axis_keys(three, Box)] == [
+            [0, 1, 6, 7], [2, 3, 8, 9], [4, 5, 10, 11]]
+        boxes = _KeyedItems(Box, [[0, 2], [1, 4], [6, 2**65], [8, 10]], 2)
+        xs, ys = _axis_keys(boxes, Box)
+        assert xs.dtype == object and ys.dtype == np.int64
+        assert (xs.tolist(), ys.tolist()) == ([0, 2, 6, 2**65], [1, 4, 8, 10])
+        (keys,) = _axis_keys(_KeyedItems(Interval, [[-3, 1], [2, 5]], 4), Interval)
+        assert keys.tolist() == [-3, 1, 2, 5]

@@ -144,6 +144,15 @@ class TestEstimateScaling:
             ]
             assert counts[0] >= counts[1] >= counts[2]
 
+    @pytest.mark.parametrize("k", [2**62, 2**63 - 1, 10**30])
+    def test_huge_k_matches_greedy(self, k):
+        # k (n - 1) past int64 once wrapped the set-mode count around.
+        for mode, greedy in ((MODE_SEQUENCE, greedy_partition_sequence),
+                             (MODE_SORTED_SET, greedy_partition_set)):
+            counts = estimate_scaling(SimConfig(n=10, k=k, trials=4, seed=1, mode=mode)).counts
+            want = [greedy(sample_intervals(trial_rng(1, t), 10), k)[0] for t in range(4)]
+            assert list(counts) == want
+
     def test_normalization_rule(self):
         seq = estimate_scaling(SimConfig(n=400, k=1, trials=3, seed=1))
         assert seq.normalized == pytest.approx(seq.mean / math.sqrt(400))

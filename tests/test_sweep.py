@@ -13,7 +13,7 @@ from heapchains import (
     sweep_partition,
     verify_forest,
 )
-from heapchains.poset import _box_arrays, _key_columns
+from heapchains.poset import _box_arrays
 
 from conftest import random_boxes_distinct
 
@@ -136,7 +136,7 @@ class TestSweepProperties:
             assert count == k_width(poset, k)[0] == len(forest.roots)
             assert verify_forest(poset, forest, k)
             checked += 1
-            huge += _box_arrays(*_key_columns(boxes, Box))[0].dtype == object
+            huge += _box_arrays(boxes)[0].dtype == object
             flat += sum(box.lower[0] == box.upper[0] for box in boxes)
         assert checked > 200 and huge > 150 and flat > 250
 
