@@ -23,20 +23,24 @@ that turns a trial's generator into its arrivals.
 
 Trials are independent, so ``estimate_scaling`` spreads a large enough call
 over the CPUs the process may run on: with w = min(trials, CPUs) >= 2 on
-Linux, the caller runs trials 0, w, 2w, ... while w - 1 workers forked
-through ``multiprocessing`` run the rest, and the counts are gathered in
-trial order.  CPUs are those of ``os.sched_getaffinity``, capped by the
-process's cgroup v2 CPU quota when it has one.  A call runs serially when w
-< 2, off Linux, inside a daemonic process (which may not have children),
-when any other Python thread is alive (a fork beside other threads can
-deadlock the child), or when it has fewer than ``_FORK_MIN_ARRIVALS``
-arrivals in all, where the fork costs more than it saves; a set-mode
-arrival costs far less than a sequence-mode one, and counts as a quarter.
+Linux, the caller runs trials 0, w, 2w, ... while w - 1 workers, each a bare
+``os.fork`` child that pickles its counts into a pipe of its own, run the
+rest, and the counts are gathered in trial order.  A fork cycle costs about
+3 ms per worker (4-5 ms in a process's first forked call), and loads no
+module and starts no thread in the caller.  CPUs are those of
+``os.sched_getaffinity``, capped by the process's cgroup v2 CPU quota when
+it has one.  A call runs serially when w < 2, off Linux, inside a daemonic
+process (which may not have children), when any other Python thread is
+alive (a fork beside other threads can deadlock the child), or when it has
+fewer than ``_FORK_MIN_ARRIVALS`` arrivals in all, where the fork costs more
+than it saves; a set-mode arrival costs far less than a sequence-mode one,
+and counts as a quarter.
 Results never depend on which path ran.  Each worker holds one trial at a
 time, so a forked call's memory is about w times one trial's.  An error in a
-worker's trial is raised again in the caller, a worker that dies raises
-``BrokenProcessPool``, and every worker has exited when the call returns or
-raises.
+worker's trial is raised again in the caller, with the worker's traceback
+as its cause; a worker that dies raises ``BrokenProcessPool``; and every
+worker has exited and been reaped when the call returns or raises: an error
+in the caller kills the workers still running.
 """
 
 from __future__ import annotations
@@ -153,15 +157,17 @@ def _trial_counts(config: SimConfig, first: int, step: int) -> list[int]:
 
 
 # Below this many arrivals (n x trials) a call runs serially.  Measured on a
-# 2-CPU host: a fork cycle (start, hand-back, join) costs about 10 ms in a
-# process that has forked before and about 30 ms more, mostly imports, in
-# one that has not.  A sequence trial costs 1.1-1.2 us per arrival at 100,000
-# arrivals in 4 trials, and forked sequence calls broke even near 30,000
-# arrivals warm and between 60,000 and 80,000 in a cold call.  A set trial
-# costs 0.17-0.24 us per arrival at 100,000-400,000 arrivals, and forked set
-# calls broke even between 100,000 and 200,000 arrivals warm and between
-# 250,000 and 300,000 cold, about four times further out: so that many
-# set-mode arrivals count as one.
+# 2-CPU host with numpy loaded: a fork cycle (fork, hand-back, reap) of one
+# worker costs about 3 ms, and 4-5 ms in a process's first forked call.  A
+# sequence trial costs 1.1-1.2 us per arrival at 100,000 arrivals in 4
+# trials, and a set trial 0.17-0.24 us per arrival at 100,000-400,000
+# arrivals.  With a multiprocessing executor, whose cycle cost 5-10 ms warm
+# and 20-30 ms more in a first call, forked sequence calls broke even near
+# 30,000 arrivals warm and between 60,000 and 80,000 cold, and set calls
+# between 100,000 and 200,000 warm and between 250,000 and 300,000 cold,
+# about four times further out: so that many set-mode arrivals count as one.
+# With bare forks, warm 4-trial calls still broke even between 24,000 and
+# 32,000 sequence-mode arrivals and between 160,000 and 256,000 set-mode ones.
 _FORK_MIN_ARRIVALS = 65_000
 _SET_ARRIVALS_PER_SEQ = 4
 # Where a process finds its cgroup v2 path, and the root that path is under.
@@ -197,6 +203,35 @@ def _processes(config: SimConfig, min_arrivals: int) -> int:
     return min(config.trials, _cpus())
 
 
+class _RemoteTraceback(Exception):
+    """A forked worker's formatted traceback: the ``__cause__`` of the error it raised."""
+
+
+def _work(config: SimConfig, first: int, step: int, fd: int) -> None:
+    """A forked worker's whole life: run trials first, first + step, ... and
+    write one pickle to ``fd``, their counts or the (error, traceback) they
+    raised; an error that cannot be pickled sends the pickling error instead.
+    Exits 0 only once the pickle is written, and never returns."""
+    status = 1
+    try:
+        import pickle
+
+        try:
+            data = pickle.dumps(_trial_counts(config, first, step))
+        except BaseException as error:
+            import traceback
+
+            try:
+                data = pickle.dumps((error, "".join(traceback.format_exception(error))))
+            except BaseException as unpicklable:
+                data = pickle.dumps((unpicklable, "".join(traceback.format_exception(unpicklable))))
+        with open(fd, "wb") as pipe:
+            pipe.write(data)
+        status = 0
+    finally:
+        os._exit(status)
+
+
 def _all_trial_counts(config: SimConfig, min_arrivals: int) -> list[int]:
     """Every trial's count, in trial order; of w processes, the caller runs trials 0, w, ...
 
@@ -206,24 +241,56 @@ def _all_trial_counts(config: SimConfig, min_arrivals: int) -> list[int]:
     w = _processes(config, min_arrivals)
     if w < 2:
         return _trial_counts(config, 0, 1)
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
+    import pickle
 
     # numpy loads numpy.random only on first use; loaded here, before the
     # fork, it is not imported again in every worker (about 40 ms each).
     import numpy.random  # noqa: F401
 
     counts = [0] * config.trials
-    # A worker that dies raises BrokenProcessPool here rather than leaving
-    # the caller waiting for its trials; shutdown joins every worker.
-    pool = ProcessPoolExecutor(w - 1, mp_context=multiprocessing.get_context("fork"))
+    pipes, pids = [], []  # the read end of each worker's pipe; the workers not yet reaped
     try:
-        theirs = [pool.submit(_trial_counts, config, first, w) for first in range(1, w)]
+        for first in range(1, w):
+            read, write = os.pipe()
+            pipes.append(open(read, "rb"))
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _work(config, first, w, write)
+                pids.append(pid)
+            finally:
+                os.close(write)  # so the pipe ends when its worker does
         counts[0::w] = _trial_counts(config, 0, w)
-        for first, future in enumerate(theirs, 1):
-            counts[first::w] = future.result()
-    finally:
-        pool.shutdown(cancel_futures=True)
+        for first, pipe in enumerate(pipes, 1):
+            with pipe:
+                data = pipe.read()
+            status = os.waitpid(pids[0], 0)[1]
+            del pids[0]
+            # The status comes first: a worker killed mid-write (say, by the OOM
+            # killer) leaves part of a pickle; one that exited early, none.
+            if status or not data:
+                from concurrent.futures.process import BrokenProcessPool
+
+                raise BrokenProcessPool(
+                    "A process in the process pool was terminated abruptly"
+                    " while the future was running or pending."
+                )
+            result = pickle.loads(data)
+            if isinstance(result, tuple):
+                error, trace = result
+                raise error from _RemoteTraceback(f'\n"""\n{trace}"""')
+            counts[first::w] = result
+    except BaseException:
+        # Whatever raised, no worker outlives the call, nor runs on unwaited.
+        import signal
+
+        for pipe in pipes:
+            pipe.close()
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+        for pid in pids:
+            os.waitpid(pid, 0)
+        raise
     return counts
 
 

@@ -1137,6 +1137,22 @@ for thread in threads:
 print(json.dumps(results))
 """
 
+# Run in a fresh interpreter by TestImportFootprint: one call forced to fork
+# a worker (two CPUs, no arrival threshold); prints the forks it made, the
+# executor modules it loaded and the threads alive after it.
+_FORKED_CALL = """
+import json, os, sys, threading
+os.sched_getaffinity = lambda pid: {0, 1}
+from heapchains import simulate
+simulate._FORK_MIN_ARRIVALS = 0
+forks, real_fork = [], os.fork
+os.fork = lambda: forks.append(1) or real_fork()
+config = simulate.SimConfig(n=200, k=2, trials=4, seed=3)
+assert simulate.estimate_scaling(config).counts == tuple(simulate._trial_counts(config, 0, 1))
+loaded = sorted({"multiprocessing", "concurrent.futures"} & set(sys.modules))
+print(json.dumps([len(forks), loaded, threading.active_count()]))
+"""
+
 
 def _fresh_python(code: str, *args: str) -> str:
     """Stdout of ``code`` run in a new interpreter that imports heapchains from this tree."""
@@ -1155,14 +1171,20 @@ def _fresh_python(code: str, *args: str) -> str:
 class TestImportFootprint:
     def test_cli_imports_no_optional_packages(self):
         # sortedcontainers is no longer a dependency; scipy and networkx
-        # would add their import time and memory to every CLI call, and
-        # multiprocessing loads only when simulation trials fork.
+        # would add their import time and memory to every CLI call, and no
+        # call needs multiprocessing or concurrent.futures: simulation
+        # workers are bare os.fork children (see test_simulate.py).
         code = (
             "import sys, heapchains.cli; "
             "print(sorted({'sortedcontainers', 'scipy', 'networkx', 'multiprocessing',"
             " 'concurrent.futures'} & set(sys.modules)))"
         )
         assert _fresh_python(code).strip() == "[]"
+
+    def test_forked_call_loads_no_executor_and_starts_no_thread(self):
+        # A bare os.fork per worker: no multiprocessing, no executor, and no
+        # manager thread left behind.
+        assert json.loads(_fresh_python(_FORKED_CALL)) == [1, [], 1]
 
     def test_cli_import_loads_no_dataclasses_or_inspect(self):
         # The records are built by poset._record: dataclasses would load

@@ -2,8 +2,11 @@ import csv
 import math
 import multiprocessing
 import os
+import pickle
 import random
+import signal
 import threading
+import time
 from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
@@ -221,15 +224,21 @@ def _serial_counts(config):
 
 @pytest.fixture
 def forks(monkeypatch):
-    """Every multiprocessing context a call asks for, in order."""
-    asked, real = [], multiprocessing.get_context
+    """One "fork" for every ``os.fork`` this process makes, in order."""
+    made, real = [], os.fork
 
-    def spy(method=None):
-        asked.append(method)
-        return real(method)
+    def spy():
+        made.append("fork")
+        return real()
 
-    monkeypatch.setattr(multiprocessing, "get_context", spy)
-    return asked
+    monkeypatch.setattr(os, "fork", spy)
+    return made
+
+
+def _assert_no_child_left():
+    """This process has no child: none running, and none exited but unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def _allow_cpus(monkeypatch, cpus, min_arrivals=0):
@@ -242,6 +251,14 @@ def _counts_in_pool_worker(config):
     return estimate_scaling(config).counts
 
 
+class _UnpicklableError(Exception):
+    """An error that holds a lock, so it cannot be pickled."""
+
+    def __init__(self, message):
+        super().__init__(message)
+        self.lock = threading.Lock()
+
+
 class TestParallelTrials:
     @pytest.mark.parametrize("cpus", [2, 3])
     def test_forced_workers_equal_serial_loop(self, monkeypatch, forks, cpus):
@@ -251,9 +268,11 @@ class TestParallelTrials:
                 for mode in (MODE_SEQUENCE, MODE_SORTED_SET):
                     config = SimConfig(n=60, k=k, trials=trials, seed=10 * trials + k, mode=mode)
                     assert estimate_scaling(config).counts == _serial_counts(config)
-        # Trials 2-7 fork for each k and mode; one trial runs in the caller.
-        # The count also shows each call left no thread behind to stop the next.
-        assert forks == ["fork"] * (6 * 3 * 2)
+        # Trials 2-7 fork min(trials, cpus) - 1 workers for each k and mode;
+        # one trial in every w runs in the caller.  The count also shows each
+        # call left no thread behind to stop the next.
+        assert forks == ["fork"] * sum(min(trials, cpus) - 1 for trials in range(2, 8)) * 3 * 2
+        _assert_no_child_left()
 
     @pytest.mark.parametrize("cpus", [2, 3])
     def test_forced_workers_on_tied_grid_draws(self, monkeypatch, forks, cpus):
@@ -277,7 +296,7 @@ class TestParallelTrials:
                             items = sorted(items, key=lambda item: (item.right, item.left))
                         want.append(greedy_partition_sequence(items, k)[0])
                     assert stats.counts == tuple(want)
-        assert forks == ["fork"] * (6 * 3 * 2)
+        assert forks == ["fork"] * sum(min(trials, cpus) - 1 for trials in range(2, 8)) * 3 * 2
 
     @pytest.mark.parametrize("cpus", [2, 3])
     def test_caller_runs_every_wth_trial(self, monkeypatch, cpus):
@@ -308,8 +327,8 @@ class TestParallelTrials:
         monkeypatch.setattr("heapchains.simulate.trial_rng", failing)
         with pytest.raises(ZeroDivisionError, match=f"trial {bad}"):
             estimate_scaling(SimConfig(n=2000, k=2, trials=5, seed=1))
-        assert forks == ["fork"]
-        assert multiprocessing.active_children() == []
+        assert forks == ["fork"] * (cpus - 1)
+        _assert_no_child_left()
 
     def test_dead_worker_raises_instead_of_waiting(self, monkeypatch):
         # A worker killed from outside (say, by the kernel's OOM killer)
@@ -325,16 +344,66 @@ class TestParallelTrials:
         monkeypatch.setattr("heapchains.simulate.trial_rng", dying)
         with pytest.raises(BrokenProcessPool):
             estimate_scaling(SimConfig(n=200, k=2, trials=4, seed=3))
-        assert multiprocessing.active_children() == []
+        _assert_no_child_left()
+
+    def test_worker_killed_mid_write_raises_broken_pool(self, monkeypatch):
+        # Half a pickle in the pipe is no result: the exit status says so
+        # before the caller tries to unpickle it.
+        _allow_cpus(monkeypatch, 2)
+
+        def half_then_killed(config, first, step, fd):
+            data = pickle.dumps(simulate._trial_counts(config, first, step))
+            os.write(fd, data[: len(data) // 2])
+            os.kill(os.getpid(), signal.SIGKILL)
+
+        monkeypatch.setattr(simulate, "_work", half_then_killed)
+        with pytest.raises(BrokenProcessPool):
+            estimate_scaling(SimConfig(n=200, k=2, trials=4, seed=3))
+        _assert_no_child_left()
+
+    def test_unpicklable_worker_error_raises_in_caller(self, monkeypatch):
+        # The worker sends the error that says its own error cannot be pickled.
+        _allow_cpus(monkeypatch, 2)
+        real = simulate.trial_rng
+
+        def failing(seed, trial):
+            if trial == 1:
+                raise _UnpicklableError("trial 1")
+            return real(seed, trial)
+
+        monkeypatch.setattr("heapchains.simulate.trial_rng", failing)
+        with pytest.raises(TypeError, match="cannot pickle") as info:
+            estimate_scaling(SimConfig(n=200, k=2, trials=4, seed=3))
+        assert "_UnpicklableError" in str(info.value.__cause__)
+        _assert_no_child_left()
+
+    def test_caller_error_kills_running_workers(self, monkeypatch):
+        # The caller's trial fails while a worker's would run for 30 s: the
+        # call raises at once and leaves no worker running or unreaped.
+        _allow_cpus(monkeypatch, 2)
+        real = simulate.trial_rng
+
+        def slow_or_failing(seed, trial):
+            if trial == 0:
+                raise ZeroDivisionError("trial 0")
+            time.sleep(30)
+            return real(seed, trial)
+
+        monkeypatch.setattr("heapchains.simulate.trial_rng", slow_or_failing)
+        start = time.monotonic()
+        with pytest.raises(ZeroDivisionError, match="trial 0"):
+            estimate_scaling(SimConfig(n=200, k=2, trials=2, seed=3))
+        assert time.monotonic() - start < 10
+        _assert_no_child_left()
 
     def test_call_from_second_thread_does_not_fork(self, monkeypatch):
         config = SimConfig(n=500, k=2, trials=4, seed=6, mode=MODE_SORTED_SET)
         _allow_cpus(monkeypatch, 2)
 
-        def no_fork(method=None):
+        def no_fork():
             raise AssertionError("forked beside another thread")
 
-        monkeypatch.setattr(multiprocessing, "get_context", no_fork)
+        monkeypatch.setattr(os, "fork", no_fork)
         results = []
         thread = threading.Thread(target=lambda: results.append(estimate_scaling(config).counts))
         thread.start()
